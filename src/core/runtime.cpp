@@ -1,6 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <cstdlib>
+#include <deque>
 #include <string_view>
 
 #include "core/errors.hpp"
@@ -10,30 +11,67 @@ namespace samoa {
 
 namespace {
 
-DispatchImpl resolve_dispatch(DispatchImpl requested, const StepHook* hook) {
-  DispatchImpl impl = requested;
+DispatchImpl resolve_dispatch(const RuntimeOptions& opts) {
+  DispatchImpl impl = opts.dispatch_impl;
   if (impl == DispatchImpl::kAuto) {
-    impl = DispatchImpl::kExecutor;
+    // Under a virtual clock the pins already let only one event run at a
+    // time, so threads would buy handoffs, not parallelism.
+    const bool virtual_time = opts.clock != nullptr && opts.clock->is_virtual();
+    impl = virtual_time ? DispatchImpl::kInline : DispatchImpl::kExecutor;
     if (const char* env = std::getenv("SAMOA_DISPATCH")) {
       if (std::string_view(env) == "pool") impl = DispatchImpl::kElasticPool;
     }
   }
   // Exploration always drives the per-task pool path; see the
   // RuntimeOptions::dispatch_impl comment.
-  if (hook != nullptr) impl = DispatchImpl::kElasticPool;
+  if (opts.step_hook != nullptr) impl = DispatchImpl::kElasticPool;
   return impl;
 }
+
+// The kInline substrate: one run-to-completion queue per thread, shared by
+// every inline runtime the thread spawns into. Async handler tasks drain
+// before queued roots, so a computation spawned from inside a task starts
+// only after the running computation finished its async work. At most one
+// computation is therefore in progress per thread, and it was admitted
+// before every queued root: its gates wait only on computations that are
+// complete or running on other threads, never on work stuck behind it.
+struct InlineQueue {
+  std::deque<std::function<void()>> handlers;
+  std::deque<std::function<void()>> roots;
+  bool draining = false;
+
+  /// Run queued tasks until both queues are empty, unless an enclosing
+  /// frame on this thread is already doing so. Tasks record their own
+  /// errors on their computation; one that escapes terminates, as it does
+  /// on an executor or pool thread.
+  void drain() noexcept {
+    if (draining) return;
+    draining = true;
+    for (;;) {
+      auto& from = !handlers.empty() ? handlers : roots;
+      if (from.empty()) break;
+      std::function<void()> task = std::move(from.front());
+      from.pop_front();
+      task();
+    }
+    draining = false;
+  }
+};
+
+thread_local InlineQueue t_inline;
 
 }  // namespace
 
 Runtime::Runtime(Stack& stack, RuntimeOptions opts)
     : stack_(stack),
       opts_(opts),
-      dispatch_(resolve_dispatch(opts.dispatch_impl, opts.step_hook)),
+      dispatch_(resolve_dispatch(opts)),
       controller_(make_controller(opts.policy)),
       trace_(opts.record_trace ? std::make_unique<TraceRecorder>() : nullptr),
-      pool_(ElasticThreadPool::Options{opts.min_threads, opts.max_threads,
-                                       std::chrono::milliseconds(200)}),
+      // The pool's floor threads would sit idle under any other substrate.
+      pool_(ElasticThreadPool::Options{dispatch_ == DispatchImpl::kElasticPool ? opts.min_threads
+                                                                                 : 0,
+                                       opts.max_threads, std::chrono::milliseconds(200)}),
       executors_(dispatch_ == DispatchImpl::kExecutor
                      ? std::make_unique<ExecutorGroup>(opts.executor, &controller_->stats())
                      : nullptr) {}
@@ -45,8 +83,24 @@ Runtime::~Runtime() {
 }
 
 void Runtime::submit_root(std::uint64_t comp_id, std::function<void()> fn) {
-  if (executors_ != nullptr) {
+  if (dispatch_ == DispatchImpl::kInline) {
+    t_inline.roots.push_back(std::move(fn));
+    t_inline.drain();
+  } else if (executors_ != nullptr) {
     executors_->submit(executors_->next_shard(), std::move(fn), comp_id);
+  } else {
+    pool_.submit(std::move(fn), comp_id);
+  }
+}
+
+void Runtime::submit_handler(MicroprotocolId owner, std::uint64_t comp_id,
+                             std::function<void()> fn) {
+  if (dispatch_ == DispatchImpl::kInline) {
+    t_inline.handlers.push_back(std::move(fn));
+    t_inline.drain();
+  } else if (executors_ != nullptr) {
+    // The owning microprotocol's shard keeps its async work FIFO.
+    executors_->submit(executors_->shard_of(owner.value()), std::move(fn), comp_id);
   } else {
     pool_.submit(std::move(fn), comp_id);
   }
@@ -219,7 +273,13 @@ std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRe
             opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
         tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
       }
-      pool_.submit_batch(std::move(tasks));
+      if (dispatch_ == DispatchImpl::kInline) {
+        // Admission order; the members run back to back once all are queued.
+        for (ElasticThreadPool::Task& t : tasks) t_inline.roots.push_back(std::move(t.fn));
+        t_inline.drain();
+      } else {
+        pool_.submit_batch(std::move(tasks));
+      }
     }
   } catch (...) {
     for (const auto& comp : comps) {

@@ -3,7 +3,7 @@
 // One Runtime drives one protocol stack with one concurrency-control
 // policy. `spawn_isolated(spec, root)` is the C++ rendering of the paper's
 // `isolated M e`: it admits a new computation under the controller
-// (Step 1), runs `root` on a pool thread, and guarantees that the
+// (Step 1), runs `root` on the dispatch substrate, and guarantees that the
 // concurrent execution of all spawned computations satisfies the isolation
 // property (for the VCA policies; kSerial trivially so, kUnsync not at
 // all — it exists as the Cactus-like baseline).
@@ -30,11 +30,12 @@
 namespace samoa {
 
 /// Which dispatch substrate runs computation tasks — the same seam pattern
-/// as GcOptions::detector_impl: both implementations drive identical
-/// controller/trace semantics and every test can run against either.
+/// as GcOptions::detector_impl: every implementation drives identical
+/// controller/trace semantics and every test can run against each.
 enum class DispatchImpl {
-  /// Resolve from the SAMOA_DISPATCH env var ("pool" or "executor");
-  /// defaults to kExecutor. This is how CI runs tier-1 against both.
+  /// Resolve from the clock: kInline under a virtual clock, kExecutor on
+  /// the wall clock. SAMOA_DISPATCH=pool selects kElasticPool instead on
+  /// either clock; this is how CI runs tier-1 against the threaded path.
   kAuto,
   /// Shared elastic pool: one cross-thread handoff per task (pre-PR-8
   /// behaviour, and the fallback under schedule exploration).
@@ -42,6 +43,13 @@ enum class DispatchImpl {
   /// Per-microprotocol sharded single-consumer event loops with batched
   /// drains (core/executor.hpp).
   kExecutor,
+  /// Run-to-completion on the spawning thread: tasks go to a thread-local
+  /// FIFO that the outermost spawner drains before spawn_isolated returns.
+  /// Async tasks run after the task that issued them (in issue order), and
+  /// a computation spawned from inside a task starts only once the queued
+  /// async work is done. Legal under every controller because a serial
+  /// execution is isolated by definition; see DESIGN.md "Dispatch".
+  kInline,
 };
 
 struct RuntimeOptions {
@@ -58,7 +66,7 @@ struct RuntimeOptions {
   /// default — costs one pointer test per scheduling point; non-null
   /// serializes all computation tasks behind the hook's token scheduler.
   StepHook* step_hook = nullptr;
-  /// Dispatch substrate. Note: a non-null step_hook always forces the
+  /// Dispatch substrate. A non-null step_hook always forces the
   /// elastic pool — the explorer's token barrier requires every submitted
   /// task to be independently schedulable, which a single-consumer shard
   /// cannot provide (a queued task would "arrive" only after its
@@ -108,7 +116,7 @@ class Runtime {
   /// The dispatch implementation actually in effect (kAuto and the
   /// step-hook fallback resolved; never kAuto).
   DispatchImpl dispatch_impl() const { return dispatch_; }
-  /// Null when dispatching through the elastic pool.
+  /// Null unless dispatching through the executor.
   ExecutorGroup* executor_group() { return executors_.get(); }
 
   /// Null when tracing is off.
@@ -128,6 +136,9 @@ class Runtime {
   void record_computation_done(ComputationId id);
   void on_computation_done(ComputationId id);
   void count_handler_call() { stats_.handler_calls.add(); }
+  /// Route an async handler task of computation `comp_id` to the dispatch
+  /// substrate; `owner` is the handler's microprotocol (executor shard key).
+  void submit_handler(MicroprotocolId owner, std::uint64_t comp_id, std::function<void()> fn);
 
  private:
   /// Erase `id` from inflight_, waking drain(). Returns whether this call
@@ -142,7 +153,8 @@ class Runtime {
   /// Route a root task to its dispatch substrate: round-robin across
   /// executor shards (independent computations must be able to overlap;
   /// the version gates order the conflicting ones — see the
-  /// core/executor.hpp placement comment), or the elastic pool.
+  /// core/executor.hpp placement comment), the elastic pool, or this
+  /// thread's inline queue.
   void submit_root(std::uint64_t comp_id, std::function<void()> fn);
 
   Stack& stack_;

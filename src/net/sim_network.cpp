@@ -109,7 +109,7 @@ void SimNetwork::schedule_control(std::chrono::microseconds delay, std::string l
   cv_.notify_all();
   lock.unlock();
   // interrupt() with mu_ released, for the same lock-order reason as send().
-  clock_.interrupt();
+  clock_.interrupt(worker_.id());
 }
 
 void SimNetwork::cancel_controls() {
@@ -182,7 +182,7 @@ void SimNetwork::send(SiteId from, SiteId to, Message payload) {
   lock.unlock();
   // interrupt() must run with mu_ released: the scheduler's wake path locks
   // the parked delivery loop's mutex — this mu_ — to deliver the notify.
-  clock_.interrupt();
+  clock_.interrupt(worker_.id());
 }
 
 void SimNetwork::set_link(SiteId from, SiteId to, LinkOptions opts) {

@@ -19,10 +19,11 @@ Clock::time_point VirtualClock::now() const {
 int VirtualClock::add_worker() {
   std::lock_guard g(mu_);
   ++workers_;
+  epochs_.push_back(0);
   return next_worker_id_++;
 }
 
-void VirtualClock::remove_worker(int worker) {
+void VirtualClock::remove_worker([[maybe_unused]] int worker) {
   std::vector<PendingWake> wakes;
   {
     std::unique_lock g(mu_);
@@ -60,14 +61,24 @@ void VirtualClock::unpin() {
   flush_wakes(std::move(wakes), nullptr);
 }
 
-void VirtualClock::interrupt() {
+void VirtualClock::interrupt(int worker) {
   std::vector<PendingWake> wakes;
   {
     std::lock_guard g(mu_);
-    ++epoch_;
+    ++epochs_[static_cast<std::size_t>(worker)];
     wakes = step_locked();
   }
   flush_wakes(std::move(wakes), nullptr);
+}
+
+std::uint64_t VirtualClock::wakes() const {
+  std::lock_guard g(mu_);
+  return wakes_;
+}
+
+std::size_t VirtualClock::parked_workers() const {
+  std::lock_guard g(mu_);
+  return parked_.size();
 }
 
 void VirtualClock::park(Waiter& w, std::unique_lock<std::mutex>& lock,
@@ -75,7 +86,7 @@ void VirtualClock::park(Waiter& w, std::unique_lock<std::mutex>& lock,
   std::vector<PendingWake> wakes;
   {
     std::lock_guard g(mu_);
-    w.epoch = epoch_;
+    w.epoch = epochs_[static_cast<std::size_t>(w.worker)];
     parked_.push_back(&w);
     wakes = step_locked();
   }
@@ -143,11 +154,13 @@ std::vector<VirtualClock::PendingWake> VirtualClock::step_locked() {
   if (workers_ == 0) return wakes;
   if (static_cast<int>(parked_.size() + turn_requests_.size()) < workers_) return wakes;
 
-  // Re-validate stale registrations first: a producer inserted work since
-  // these waiters parked, so their registered deadlines may overshoot the
-  // true next event. Wake them; they re-check their queues and re-park.
+  // Re-validate stale registrations first: a producer inserted work into
+  // these waiters' queues since they parked, so their registered deadlines
+  // may overshoot the true next event. Wake them; they re-check their
+  // queues and re-park.
   for (Waiter* w : parked_) {
-    if (w->epoch != epoch_ && !w->woken.load(std::memory_order_relaxed)) {
+    if (w->epoch != epochs_[static_cast<std::size_t>(w->worker)] &&
+        !w->woken.load(std::memory_order_relaxed)) {
       w->woken.store(true, std::memory_order_release);
       ++pending_wakes_;
       wakes.push_back({w->mu, w->cv});
@@ -155,6 +168,7 @@ std::vector<VirtualClock::PendingWake> VirtualClock::step_locked() {
   }
   if (!wakes.empty()) {
     notifies_in_flight_ += static_cast<int>(wakes.size());
+    wakes_ += wakes.size();
     return wakes;
   }
 
@@ -226,6 +240,7 @@ std::vector<VirtualClock::PendingWake> VirtualClock::step_locked() {
   best->woken.store(true, std::memory_order_release);
   ++pending_wakes_;
   ++notifies_in_flight_;
+  ++wakes_;
   wakes.push_back({best->mu, best->cv});
   return wakes;
 }

@@ -27,14 +27,18 @@
 //   3. bracket the execution of a due callback with begin_dispatch()/
 //      end_dispatch() — WITHOUT holding the service mutex — so the
 //      scheduler can serialize event execution;
-//   4. producers call interrupt() after inserting work — and after
-//      releasing the service mutex — so stale parked deadlines are
-//      re-validated before time advances past them. The scheduler's wake
-//      path acquires the target waiter's service mutex, so calling
-//      interrupt() (or end_dispatch()) while holding a mutex some waiter
-//      parks with would self-deadlock. The window between insert and
-//      interrupt is covered by the caller's dispatch turn or activity pin,
-//      either of which stalls the scheduler.
+//   4. producers call interrupt(worker) after inserting work into that
+//      worker's queue — and after releasing the service mutex — so the
+//      worker's parked deadline is re-validated before time advances past
+//      it. Interrupts are per worker: only the waiter of the service whose
+//      queue changed is marked stale; every other parked deadline is still
+//      exact and stays parked (a fleet-wide wake per insert would cost
+//      every send O(workers) context switches). The scheduler's wake path
+//      acquires the target waiter's service mutex, so calling interrupt()
+//      (or end_dispatch()) while holding a mutex some waiter parks with
+//      would self-deadlock. The window between insert and interrupt is
+//      covered by the caller's dispatch turn or activity pin, either of
+//      which stalls the scheduler.
 //
 // The clock must outlive every component registered with it.
 #pragma once
@@ -92,11 +96,12 @@ class ClockSource {
   virtual void pin() {}
   virtual void unpin() {}
 
-  /// Tell the scheduler that armed deadlines may have changed (a packet or
-  /// timer was inserted): parked workers re-validate their registered
-  /// deadlines before time advances past them. Call WITHOUT holding any
-  /// mutex a waiter parks with (the wake path locks it).
-  virtual void interrupt() {}
+  /// Tell the scheduler that `worker`'s armed deadline may have changed (a
+  /// packet or timer was inserted into its queue): if that worker is
+  /// parked, it re-validates its registered deadline before time advances
+  /// past it. Other workers are unaffected. Call WITHOUT holding any mutex
+  /// a waiter parks with (the wake path locks it).
+  virtual void interrupt(int worker) { (void)worker; }
 };
 
 /// One step the VirtualClock scheduler could take at a quiescent point:
@@ -173,7 +178,14 @@ class VirtualClock final : public ClockSource {
 
   void pin() override;
   void unpin() override;
-  void interrupt() override;
+  void interrupt(int worker) override;
+
+  /// Waiter wakes the scheduler has issued so far: stale-deadline
+  /// re-validations plus time-advance wakes. Each costs the woken worker
+  /// a context switch, so this is the scheduler's handoff count.
+  std::uint64_t wakes() const;
+  /// Workers currently parked in wait()/wait_until().
+  std::size_t parked_workers() const;
 
   /// Install (or remove, with nullptr) the step-choice policy. Safe to
   /// call at any quiescent moment; the policy must outlive its
@@ -188,7 +200,7 @@ class VirtualClock final : public ClockSource {
     std::condition_variable* cv;
     Clock::time_point deadline;
     bool has_deadline;
-    std::uint64_t epoch;
+    std::uint64_t epoch;  // epochs_[worker] when it parked
     std::atomic<bool> woken{false};
   };
   struct TurnRequest {
@@ -233,7 +245,10 @@ class VirtualClock final : public ClockSource {
   int workers_ = 0;
   int next_worker_id_ = 0;
   long pins_ = 0;
-  std::uint64_t epoch_ = 0;
+  /// Per-worker interrupt epochs, indexed by worker id: a parked waiter is
+  /// stale once its worker's epoch moved past the value it parked with.
+  std::vector<std::uint64_t> epochs_;
+  std::uint64_t wakes_ = 0;
   int pending_wakes_ = 0;
   int notifies_in_flight_ = 0;
   bool turn_active_ = false;

@@ -283,5 +283,31 @@ TEST(Determinism, ChurnFleetReplaysIdentically) {
   EXPECT_NE(testing::run_churn_fleet(c1).net_sent, testing::run_churn_fleet(c2).net_sent);
 }
 
+TEST(Determinism, ChurnFleetInlineMatchesThreadedVirtualTime) {
+  // Run-to-completion dispatch (the virtual-time default) must change no
+  // virtual-time behaviour: the same churn fleet on the threaded elastic
+  // pool produces the identical packet-level event stream, deliveries,
+  // views and detector counters.
+  testing::ChurnConfig cfg;
+  cfg.sites = 30;
+  cfg.seed = 1;
+  const auto inline_run = testing::run_churn_fleet(cfg);
+  cfg.dispatch = DispatchImpl::kElasticPool;
+  const auto threaded = testing::run_churn_fleet(cfg);
+  ASSERT_TRUE(inline_run.converged);
+  ASSERT_TRUE(threaded.converged);
+  EXPECT_EQ(inline_run.event_hash, threaded.event_hash)
+      << "inline 0x" << std::hex << inline_run.event_hash << " vs threaded 0x"
+      << threaded.event_hash;
+  EXPECT_EQ(inline_run.converged_at_us, threaded.converged_at_us);
+  EXPECT_EQ(inline_run.trace_lines, threaded.trace_lines);
+  EXPECT_EQ(inline_run.view_lines, threaded.view_lines);
+  EXPECT_EQ(inline_run.first_suspicion_us, threaded.first_suspicion_us);
+  EXPECT_EQ(inline_run.all_suspected_us, threaded.all_suspected_us);
+  EXPECT_EQ(inline_run.suspicions, threaded.suspicions);
+  EXPECT_EQ(inline_run.net_sent, threaded.net_sent);
+  EXPECT_EQ(inline_run.net_delivered, threaded.net_delivered);
+}
+
 }  // namespace
 }  // namespace samoa::gc

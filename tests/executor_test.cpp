@@ -1,11 +1,15 @@
-// Tests of the per-microprotocol executor dispatch layer (PR 8): the
-// ExecutorGroup's queue discipline in isolation, and the Runtime/Context
-// integration — per-mp FIFO, batched trigger fan-out, park handoff, and
-// the diag surface.
+// Tests of the dispatch substrates: the per-microprotocol executor layer
+// (the ExecutorGroup's queue discipline in isolation, and the
+// Runtime/Context integration — per-mp FIFO, batched trigger fan-out, park
+// handoff, and the diag surface), the inline run-to-completion substrate,
+// and how DispatchImpl::kAuto resolves.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,11 +18,13 @@
 #include "core/runtime.hpp"
 #include "diag/wait_registry.hpp"
 #include "tests/test_support.hpp"
+#include "time/clock.hpp"
 
 namespace samoa {
 namespace {
 
 using testing::BlockingMp;
+using testing::LoggingMp;
 using testing::ProbeMp;
 
 // --- ExecutorGroup in isolation ------------------------------------------
@@ -305,6 +311,30 @@ class NullHook final : public StepHook {
   void resync(ComputationId) override {}
 };
 
+/// Sets (or, with nullopt, unsets) SAMOA_DISPATCH for one scope, so the
+/// resolution tests hold whatever the suite's environment selects.
+class ScopedDispatchEnv {
+ public:
+  explicit ScopedDispatchEnv(std::optional<std::string> value) {
+    if (const char* prev = std::getenv("SAMOA_DISPATCH")) prev_ = prev;
+    if (value) {
+      ::setenv("SAMOA_DISPATCH", value->c_str(), 1);
+    } else {
+      ::unsetenv("SAMOA_DISPATCH");
+    }
+  }
+  ~ScopedDispatchEnv() {
+    if (prev_) {
+      ::setenv("SAMOA_DISPATCH", prev_->c_str(), 1);
+    } else {
+      ::unsetenv("SAMOA_DISPATCH");
+    }
+  }
+
+ private:
+  std::optional<std::string> prev_;
+};
+
 TEST(ExecutorDispatch, ResolutionHonoursOptionAndStepHook) {
   Stack stack;
   stack.emplace<ProbeMp>("p");
@@ -331,6 +361,143 @@ TEST(ExecutorDispatch, ResolutionHonoursOptionAndStepHook) {
     Runtime rt(stack, o);
     EXPECT_EQ(rt.dispatch_impl(), DispatchImpl::kElasticPool);
     EXPECT_EQ(rt.executor_group(), nullptr);
+  }
+}
+
+TEST(ExecutorDispatch, PoolStartsThreadsOnlyAsTheSubstrate) {
+  // The pool's min_threads floor is started only when the pool runs the
+  // tasks; under the executor it would be two idle threads per runtime.
+  Stack stack;
+  stack.emplace<ProbeMp>("p");
+  {
+    Runtime rt(stack, exec_opts());
+    EXPECT_EQ(rt.pool().peak_thread_count(), 0u);
+  }
+  {
+    RuntimeOptions o;
+    o.dispatch_impl = DispatchImpl::kElasticPool;
+    Runtime rt(stack, o);
+    EXPECT_EQ(rt.pool().peak_thread_count(), o.min_threads);
+  }
+}
+
+// --- Inline substrate (virtual time) -------------------------------------
+
+RuntimeOptions virtual_opts(time::ClockSource& clock) {
+  RuntimeOptions o;
+  o.policy = CCPolicy::kVCABasic;
+  o.clock = &clock;
+  return o;
+}
+
+TEST(InlineDispatch, VirtualClockRunsSpawnsToCompletion) {
+  ScopedDispatchEnv env(std::nullopt);
+  time::VirtualClock clock;
+  Stack stack;
+  auto& probe = stack.emplace<ProbeMp>("probe");
+  EventType ev("Probe");
+  stack.bind(ev, *probe.handler);
+  Runtime rt(stack, virtual_opts(clock));
+  EXPECT_EQ(rt.dispatch_impl(), DispatchImpl::kInline);
+  EXPECT_EQ(rt.executor_group(), nullptr);
+  auto h = rt.spawn_isolated(Isolation::basic({&probe}), [&](Context& ctx) {
+    ctx.trigger(ev);
+    ctx.async_trigger(ev);
+  });
+  // The computation, async task included, completed inside the spawn.
+  EXPECT_TRUE(h.done());
+  EXPECT_EQ(probe.calls.load(), 2);
+  std::vector<Runtime::SpawnRequest> burst;
+  for (int i = 0; i < 4; ++i) {
+    burst.push_back({Isolation::basic({&probe}), [&](Context& ctx) { ctx.async_trigger(ev); }});
+  }
+  for (const ComputationHandle& b : rt.spawn_isolated_batch(std::move(burst))) {
+    EXPECT_TRUE(b.done());
+  }
+  EXPECT_EQ(probe.calls.load(), 6);
+  EXPECT_EQ(rt.pool().peak_thread_count(), 0u);
+  EXPECT_EQ(rt.controller().stats().gate_waits.value(), 0u);
+}
+
+TEST(InlineDispatch, AsyncFanoutRunsAfterRootInBindingOrder) {
+  ScopedDispatchEnv env(std::nullopt);
+  time::VirtualClock clock;
+  std::mutex log_mu;
+  std::vector<std::string> log;
+  Stack stack;
+  std::vector<const Microprotocol*> members;
+  EventType ev("Fan");
+  for (const char* name : {"c", "a", "b"}) {
+    auto& mp = stack.emplace<LoggingMp>(name, log, log_mu);
+    stack.bind(ev, *mp.handler);
+    members.push_back(&mp);
+  }
+  Runtime rt(stack, virtual_opts(clock));
+  auto h = rt.spawn_isolated(Isolation::basic(members), [&](Context& ctx) {
+    log.push_back("root-begin");
+    ctx.async_trigger_all(ev);
+    log.push_back("root-end");
+  });
+  EXPECT_TRUE(h.done());
+  EXPECT_EQ(log, (std::vector<std::string>{"root-begin", "root-end", "c", "a", "b"}));
+}
+
+TEST(InlineDispatch, SpawnInsideHandlerRunsAfterSpawnerCompletes) {
+  // The nested computation shares `shared` with its spawner, so under
+  // VCAbasic it must wait for the spawner's version release: had it run
+  // nested, or ahead of the spawner's queued async task, it would block
+  // this single thread on itself.
+  ScopedDispatchEnv env(std::nullopt);
+  time::VirtualClock clock;
+  std::mutex log_mu;
+  std::vector<std::string> log;
+  Stack stack;
+  auto& shared = stack.emplace<LoggingMp>("shared", log, log_mu);
+  EventType shared_ev("Shared");
+  stack.bind(shared_ev, *shared.handler);
+  RuntimeOptions opts = virtual_opts(clock);
+  opts.record_trace = true;
+  Runtime rt(stack, opts);
+  ComputationHandle nested;
+  auto outer = rt.spawn_isolated(Isolation::basic({&shared}), [&](Context& ctx) {
+    log.push_back("outer-root");
+    nested = ctx.runtime().spawn_isolated(Isolation::basic({&shared}), [&](Context& inner) {
+      log.push_back("nested-root");
+      inner.trigger(shared_ev);
+    });
+    EXPECT_FALSE(nested.done());
+    ctx.async_trigger(shared_ev);
+  });
+  EXPECT_TRUE(outer.done());
+  ASSERT_TRUE(nested.valid());
+  EXPECT_TRUE(nested.done());
+  EXPECT_EQ(log, (std::vector<std::string>{"outer-root", "shared", "nested-root", "shared"}));
+  testing::expect_isolated(rt);
+}
+
+TEST(InlineDispatch, ExplicitChoicesEnvAndStepHookStillResolve) {
+  time::VirtualClock clock;
+  Stack stack;
+  stack.emplace<ProbeMp>("p");
+  const auto resolve = [&](RuntimeOptions o) { return Runtime(stack, o).dispatch_impl(); };
+  {
+    ScopedDispatchEnv env(std::nullopt);
+    RuntimeOptions o = virtual_opts(clock);
+    o.dispatch_impl = DispatchImpl::kExecutor;
+    EXPECT_EQ(resolve(o), DispatchImpl::kExecutor);
+    o.dispatch_impl = DispatchImpl::kElasticPool;
+    EXPECT_EQ(resolve(o), DispatchImpl::kElasticPool);
+    NullHook hook;
+    o.dispatch_impl = DispatchImpl::kAuto;
+    o.step_hook = &hook;
+    EXPECT_EQ(resolve(o), DispatchImpl::kElasticPool);
+    // The wall clock keeps the executor as its default.
+    EXPECT_EQ(resolve(RuntimeOptions{}), DispatchImpl::kExecutor);
+  }
+  {
+    ScopedDispatchEnv env(std::string("pool"));
+    EXPECT_EQ(resolve(virtual_opts(clock)), DispatchImpl::kElasticPool);
+    EXPECT_EQ(resolve(RuntimeOptions{}), DispatchImpl::kElasticPool);
   }
 }
 

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "net/sim_network.hpp"
 #include "net/timer_service.hpp"
@@ -290,6 +292,41 @@ TEST(TimerService, CancelAllStopsEverything) {
   }
   EXPECT_TRUE(sentinel.wait_for(std::chrono::milliseconds(5000)));
   EXPECT_EQ(count.load(), 0);
+}
+
+TEST(VirtualClock, ScheduleWakesOnlyTheTargetServicesWaiter) {
+  // Interrupts are per worker: arming a timer on one service re-validates
+  // that service's parked deadline only. A fleet-wide interrupt would wake
+  // all N parked workers (N context switches per send or schedule); this
+  // pins the targeted count at the quiescent step.
+  constexpr std::size_t kServices = 8;
+  VirtualClock clock;
+  std::vector<std::unique_ptr<TimerService>> services;
+  for (std::size_t i = 0; i < kServices; ++i) {
+    services.push_back(std::make_unique<TimerService>(&clock));
+  }
+  const auto await_all_parked = [&] {
+    while (clock.parked_workers() < kServices) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  await_all_parked();
+  OneShotEvent fired;
+  std::uint64_t before = 0;
+  {
+    Pin hold(clock);
+    services[3]->schedule(std::chrono::microseconds(1000), [&] { fired.set(); });
+    await_all_parked();  // the target re-parked on its new deadline
+    before = clock.wakes();
+  }
+  EXPECT_TRUE(fired.wait_for(std::chrono::milliseconds(5000)));
+  await_all_parked();
+  // At most one stale-deadline re-validation of the target (if it parked
+  // before the interrupt) plus the time-advance wake that fires its timer.
+  const std::uint64_t woken = clock.wakes() - before;
+  EXPECT_GE(woken, 1u);
+  EXPECT_LE(woken, 2u) << "schedule() on one service woke other services' waiters";
+  EXPECT_EQ(clock.now().time_since_epoch(), std::chrono::microseconds(1000));
 }
 
 // --- Race regressions (wall clock on purpose; see file header) ---

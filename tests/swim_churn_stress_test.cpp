@@ -10,9 +10,7 @@
 // report are written to SAMOA_WATCHDOG_DIR for CI artifact upload.
 //
 // Scale knobs: SAMOA_CHURN_SITES overrides the fleet size (the nightly CI
-// sweep sets 200; the tier-1/TSan default is smaller because the RelCast
-// flood makes each broadcast O(n^2) packets and sanitizers multiply the
-// per-packet cost).
+// sweep sets 200; tier-1 and TSan run 120).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -46,7 +44,7 @@ int churn_sites() {
     const int n = std::atoi(env);
     if (n >= 5) return n;
   }
-  return SAMOA_UNDER_TSAN ? 64 : 120;
+  return 120;
 }
 
 // Virtual-time failsafe override, for triage: a non-converging fleet burns

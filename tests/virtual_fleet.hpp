@@ -459,6 +459,9 @@ struct ChurnConfig {
   std::chrono::microseconds detect_window{20000};
   std::chrono::microseconds horizon{5'000'000};
   double drop_probability = 0.01;
+  /// kAuto runs inline under the fleet's VirtualClock; kElasticPool is the
+  /// threaded virtual-time schedule.
+  DispatchImpl dispatch = DispatchImpl::kAuto;
 };
 
 struct ChurnOutcome {
@@ -526,6 +529,7 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   opts.cs_retry_interval = microseconds(5000);
   opts.cs_retry_timeout = microseconds(8000);
   opts.detector_impl = cfg.detector;
+  opts.dispatch_impl = cfg.dispatch;
   opts.swim_probe_interval = cfg.probe_interval;
   opts.swim_ack_timeout = microseconds(600);
   // Equal-bandwidth heartbeat baseline: SWIM sends O(1) packets per period
