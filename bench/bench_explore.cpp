@@ -4,9 +4,9 @@
 // Part 1 (E-EXPLORE) runs the standard conflicting cell (4 computations x
 // 3 triggers over a 3-mp stack with a shared hotspot) under every
 // controller policy and every exploration strategy, and reports per cell:
-// schedules executed, decision points by kind (s=step, c=clock,
-// n=network), wall cost, and — when a violation is found — the trace
-// sizes before and after shrinking.
+// schedules executed, decision points by kind (s=step, n=network), wall
+// cost, and — when a violation is found — the trace sizes before and after
+// shrinking.
 //
 // Part 2 (E-EXPLORE-NET) runs the whole-fleet network cells: the toy
 // view-sync fleet (3 members, 3 relays, rotating relay assignment) under

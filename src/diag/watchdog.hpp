@@ -55,7 +55,7 @@ struct WatchdogOptions {
   /// wall time. A legitimately long virtual experiment — hours of
   /// simulated time, every wait parked on a far deadline — therefore
   /// never false-trips, while a wedged simulation (virtual time stuck
-  /// because the scheduler cannot reach quiescence) still does. Ignored
+  /// because an activity pin is never released) still does. Ignored
   /// for wall clocks, whose now() is the watchdog's own timebase. The
   /// clock must outlive the watchdog.
   time::ClockSource* clock = nullptr;

@@ -6,7 +6,7 @@
 // VirtualClock under one exploration strategy: a coordinator fans
 // totally-ordered data messages and view installations out through relay
 // sites to a set of members, so several relay lanes race into each
-// member's lane and the 'n' decisions at each drain step pick the
+// member's lane and the 'n' decisions at each commit step pick the
 // interleaving. Two protocol variants close the loop from the paper's
 // synchronisation argument:
 //

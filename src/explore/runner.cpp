@@ -202,9 +202,6 @@ void DecisionCounts::add(const ScheduleTrace& trace) {
       case 's':
         ++s;
         break;
-      case 'c':
-        ++c;
-        break;
       case 'n':
         ++n;
         break;
@@ -216,7 +213,7 @@ void DecisionCounts::add(const ScheduleTrace& trace) {
 
 std::string DecisionCounts::summary() const {
   std::ostringstream out;
-  out << "s=" << s << " c=" << c << " n=" << n;
+  out << "s=" << s << " n=" << n;
   return out.str();
 }
 

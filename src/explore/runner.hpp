@@ -65,18 +65,17 @@ struct RunResult {
   bool replay_diverged = false;  // replay_schedule only
 };
 
-/// Recorded decisions per kind ('s' step / 'c' clock / 'n' network) across
+/// Recorded decisions per kind ('s' step / 'n' network) across
 /// a cell's schedules. Surfaced in sweep summaries so budget exhaustion on
 /// network-heavy cells is diagnosable: a cell whose budget went mostly to
 /// 'n' decisions explored little of the step space, and vice versa.
 struct DecisionCounts {
   std::uint64_t s = 0;
-  std::uint64_t c = 0;
   std::uint64_t n = 0;
 
-  std::uint64_t total() const { return s + c + n; }
+  std::uint64_t total() const { return s + n; }
   void add(const ScheduleTrace& trace);
-  std::string summary() const;  // "s=120 c=14 n=0"
+  std::string summary() const;  // "s=120 n=0"
 };
 
 struct CellResult {

@@ -33,7 +33,6 @@
 
 #include "explore/trace.hpp"
 #include "net/sim_network.hpp"
-#include "time/clock.hpp"
 #include "util/rng.hpp"
 
 namespace samoa::explore {
@@ -110,27 +109,8 @@ class ExhaustiveStrategy final : public Strategy {
   std::size_t index_ = 0;
 };
 
-/// Adapter wiring a Strategy into VirtualClock's WakePolicy seam: each
-/// clock-level choice (which dispatch turn / timer fires next) becomes a
-/// 'c' decision in the trace. Candidate keys are (kind, worker) — stable
-/// across runs of a deterministic simulation. Install with
-/// VirtualClock::set_wake_policy; `choose` runs under the clock's mutex,
-/// which also serialises trace recording.
-class ExploringWakePolicy final : public time::WakePolicy {
- public:
-  explicit ExploringWakePolicy(Strategy& strategy) : strategy_(&strategy) {}
-
-  std::size_t choose(const std::vector<time::RunnableStep>& steps) override;
-
-  const ScheduleTrace& trace() const { return trace_; }
-
- private:
-  Strategy* strategy_;
-  ScheduleTrace trace_;
-};
-
 /// Adapter wiring a Strategy into SimNetwork's DeliveryHook seam: each
-/// drain step with >= 2 eligible events (due lane heads, due control/fault
+/// commit step with >= 2 eligible events (due lane heads, due control/fault
 /// events) becomes an 'n' decision in the trace. Candidate keys are
 /// destination site ids (packets) and kControlKeyBase + schedule index
 /// (controls) — stable across runs of a deterministic simulation. Install

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace samoa::net {
 
@@ -22,19 +23,9 @@ SimNetwork::SimNetwork(LinkOptions defaults, std::uint64_t seed, time::ClockSour
     : clock_(clock != nullptr ? *clock : time::wall_clock()),
       defaults_(defaults),
       rng_(seed),
-      worker_(clock_),
-      delivery_thread_([this] { delivery_loop(); }) {}
+      attachment_(clock_.attach(*this)) {}
 
-SimNetwork::~SimNetwork() {
-  {
-    std::unique_lock lock(mu_);
-    shutdown_ = true;
-    cv_.notify_all();
-  }
-  delivery_thread_.join();
-  // worker_ deregisters from the clock after the join, so the scheduler
-  // never waits on a thread that is gone.
-}
+SimNetwork::~SimNetwork() { attachment_.reset(); }
 
 SiteId SimNetwork::add_site(DeliveryFn deliver) {
   std::unique_lock lock(mu_);
@@ -43,7 +34,7 @@ SiteId SimNetwork::add_site(DeliveryFn deliver) {
   return SiteId(static_cast<SiteId::value_type>(sites_.size() - 1));
 }
 
-bool SimNetwork::push_packet(InFlight item) {
+void SimNetwork::push_packet(InFlight item) {
   Lane& lane = lanes_[item.packet.to.value()];
   const bool new_lane_head =
       lane.q.empty() || std::tie(item.deliver_at, item.seq) <
@@ -51,14 +42,7 @@ bool SimNetwork::push_packet(InFlight item) {
   const HeadRef ref{item.deliver_at, item.seq, item.packet.to.value()};
   lane.q.push(std::move(item));
   ++in_flight_count_;
-  if (!new_lane_head) return false;  // lane head unchanged: its claim stands
-  // Prune before comparing: a stale top claim (for an already-delivered
-  // packet) sorts below every live one and would mask a genuinely new
-  // global earliest — a missed wakeup for the delivery loop.
-  prune_heads();
-  const bool new_global_head = heads_.empty() || heads_.top() > ref;
-  heads_.push(ref);
-  return new_global_head;
+  if (new_lane_head) heads_.push(ref);  // otherwise the lane's claim stands
 }
 
 void SimNetwork::prune_heads() {
@@ -89,7 +73,7 @@ std::size_t SimNetwork::earliest_control() const {
   return best;
 }
 
-Clock::time_point SimNetwork::next_deadline() {
+Clock::time_point SimNetwork::next_deadline_locked() {
   Clock::time_point deadline = earliest_deadline();
   const std::size_t ci = earliest_control();
   if (ci != kNoControl && controls_[ci].at < deadline) deadline = controls_[ci].at;
@@ -104,18 +88,16 @@ void SimNetwork::set_delivery_hook(DeliveryHook* hook) {
 void SimNetwork::schedule_control(std::chrono::microseconds delay, std::string label,
                                   std::function<void()> fn) {
   std::unique_lock lock(mu_);
-  controls_.push_back(ControlEvent{clock_.now() + delay, next_seq_++, next_control_key_++,
-                                   std::move(label), std::move(fn)});
-  cv_.notify_all();
+  const auto at = clock_.now() + delay;
+  controls_.push_back(
+      ControlEvent{at, next_seq_++, next_control_key_++, std::move(label), std::move(fn)});
   lock.unlock();
-  // interrupt() with mu_ released, for the same lock-order reason as send().
-  clock_.interrupt(worker_.id());
+  attachment_->notify(at);
 }
 
 void SimNetwork::cancel_controls() {
   std::unique_lock lock(mu_);
   controls_.clear();
-  cv_.notify_all();
 }
 
 void SimNetwork::enable_event_log(bool store_lines) {
@@ -172,17 +154,10 @@ void SimNetwork::send(SiteId from, SiteId to, Message payload) {
     stats_.dropped.add();
     return;
   }
-  const bool new_earliest = push_packet(
-      InFlight{clock_.now() + latency, next_seq_++, Packet{from, to, std::move(payload)}});
-  // The delivery loop only needs to re-evaluate when the global earliest
-  // changed; a packet queued behind others in its lane can't affect the
-  // registered deadline. Skipping the notify keeps broadcast storms from
-  // hammering the loop's condition variable O(packets) times.
-  if (new_earliest) cv_.notify_all();
+  const auto at = clock_.now() + latency;
+  push_packet(InFlight{at, next_seq_++, Packet{from, to, std::move(payload)}});
   lock.unlock();
-  // interrupt() must run with mu_ released: the scheduler's wake path locks
-  // the parked delivery loop's mutex — this mu_ — to deliver the notify.
-  clock_.interrupt(worker_.id());
+  attachment_->notify(at);
 }
 
 void SimNetwork::set_link(SiteId from, SiteId to, LinkOptions opts) {
@@ -257,7 +232,49 @@ void SimNetwork::drain() {
   cv_.wait(lock, [this] { return in_flight_count_ == 0 && !delivering_.valid(); });
 }
 
-void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix) {
+Clock::time_point SimNetwork::next_deadline() {
+  std::unique_lock lock(mu_);
+  return next_deadline_locked();
+}
+
+std::optional<Clock::time_point> SimNetwork::commit(Clock::time_point now) {
+  std::unique_lock lock(mu_);
+  while (next_deadline_locked() <= now) {
+    const Pick pick = hook_ != nullptr ? pick_explored(now) : pick_default();
+    if (!pick.control) {
+      if (const auto due = take_packet(pick.ix)) return due;
+      continue;  // dropped: consider the next due event
+    }
+    ControlEvent ev = std::move(controls_[pick.ix]);
+    controls_.erase(controls_.begin() + static_cast<std::ptrdiff_t>(pick.ix));
+    if (log_events_) note_event(std::to_string(event_us(ev.at)) + " ! " + ev.label);
+    committed_control_ = std::move(ev.fn);
+    return ev.at;
+  }
+  return std::nullopt;
+}
+
+void SimNetwork::fire() {
+  std::unique_lock lock(mu_);
+  if (committed_deliver_) {
+    const DeliveryFn deliver = std::exchange(committed_deliver_, nullptr);
+    const Packet packet = std::move(committed_packet_);
+    lock.unlock();
+    deliver(packet);
+    lock.lock();
+    delivering_ = SiteId{};
+    stats_.delivered.add();
+  } else {
+    // A control event runs with mu_ released: it may call any mutator.
+    const std::function<void()> fn = std::exchange(committed_control_, nullptr);
+    lock.unlock();
+    if (fn) fn();
+    lock.lock();
+  }
+  cv_.notify_all();
+}
+
+std::optional<Clock::time_point> SimNetwork::take_packet(std::size_t lane_ix) {
   Lane& lane = lanes_[lane_ix];
   InFlight item = lane.q.top();
   lane.q.pop();
@@ -280,44 +297,33 @@ void SimNetwork::deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size
   if (lost) {
     stats_.dropped.add();
     if (in_flight_count_ == 0) cv_.notify_all();
-    return;
+    return std::nullopt;
   }
-  DeliveryFn deliver = sites_[item.packet.to.value()];
+  committed_deliver_ = sites_[item.packet.to.value()];
   delivering_ = item.packet.to;
-  lock.unlock();
-  clock_.begin_dispatch(worker_.id(), item.deliver_at);
-  deliver(item.packet);
-  clock_.end_dispatch();
-  lock.lock();
-  delivering_ = SiteId{};
-  stats_.delivered.add();
-  cv_.notify_all();
+  committed_packet_ = std::move(item.packet);
+  return item.deliver_at;
 }
 
-void SimNetwork::run_control(std::unique_lock<std::mutex>& lock, std::size_t ix) {
-  ControlEvent ev = std::move(controls_[ix]);
-  controls_.erase(controls_.begin() + static_cast<std::ptrdiff_t>(ix));
-  if (log_events_) {
-    note_event(std::to_string(event_us(ev.at)) + " ! " + ev.label);
+SimNetwork::Pick SimNetwork::pick_default() const {
+  // Byte-identical to the pre-seam delivery order (and controls only exist
+  // when a driver scheduled them).
+  const std::size_t ci = earliest_control();
+  if (ci != kNoControl &&
+      (heads_.empty() || std::tie(controls_[ci].at, controls_[ci].seq) <
+                             std::tie(heads_.top().deliver_at, heads_.top().seq))) {
+    return Pick{true, ci};
   }
-  lock.unlock();
-  // The callback runs in its own dispatch turn at the scheduled virtual
-  // time, with mu_ released: it may call any SimNetwork mutator.
-  clock_.begin_dispatch(worker_.id(), ev.at);
-  if (ev.fn) ev.fn();
-  clock_.end_dispatch();
-  lock.lock();
-  cv_.notify_all();
+  // The caller pruned, so the top claim matches its lane's head.
+  return Pick{false, heads_.top().dest};
 }
 
-void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock) {
-  const auto now = clock_.now();
+SimNetwork::Pick SimNetwork::pick_explored(Clock::time_point now) {
   // Gather every eligible candidate: due lane heads (one per lane — the
   // per-destination FIFO within a lane is not a choice) plus due controls.
   struct Candidate {
     std::uint64_t key;
-    bool control;
-    std::size_t ix;  // lane index or controls_ index
+    Pick pick;
   };
   struct CandOrder {
     Clock::time_point at;
@@ -327,84 +333,32 @@ void SimNetwork::step_explored(std::unique_lock<std::mutex>& lock) {
   std::vector<CandOrder> order;
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (!lanes_[i].q.empty() && lanes_[i].q.top().deliver_at <= now) {
-      cands.push_back(Candidate{i, false, i});
+      cands.push_back(Candidate{i, Pick{false, i}});
       order.push_back(CandOrder{lanes_[i].q.top().deliver_at, lanes_[i].q.top().seq});
     }
   }
   for (std::size_t i = 0; i < controls_.size(); ++i) {
     if (controls_[i].at <= now) {
-      cands.push_back(Candidate{DeliveryHook::kControlKeyBase + controls_[i].key, true, i});
+      cands.push_back(Candidate{DeliveryHook::kControlKeyBase + controls_[i].key, Pick{true, i}});
       order.push_back(CandOrder{controls_[i].at, controls_[i].seq});
     }
   }
   // The caller established that something is due, so cands is non-empty.
-  std::size_t pick = 0;
-  if (cands.size() >= 2) {
-    // Present candidates in natural (deliver_at, seq) order: index 0 is
-    // exactly the default merge choice, so a hook that always picks 0
-    // reproduces the unexplored delivery order, and shrinking a violating
-    // trace toward all-zeros shrinks toward the natural schedule.
-    std::vector<std::size_t> by_time(cands.size());
-    for (std::size_t i = 0; i < by_time.size(); ++i) by_time[i] = i;
-    std::sort(by_time.begin(), by_time.end(), [&order](std::size_t a, std::size_t b) {
-      return std::tie(order[a].at, order[a].seq) < std::tie(order[b].at, order[b].seq);
-    });
-    std::vector<Candidate> sorted;
-    sorted.reserve(cands.size());
-    for (std::size_t i : by_time) sorted.push_back(cands[i]);
-    cands.swap(sorted);
-    std::vector<std::uint64_t> keys;
-    keys.reserve(cands.size());
-    for (const Candidate& c : cands) keys.push_back(c.key);
-    pick = std::min(hook_->choose(keys), cands.size() - 1);
-  }
-  if (cands[pick].control) {
-    run_control(lock, cands[pick].ix);
-  } else {
-    deliver_from_lane(lock, cands[pick].ix);
-  }
-}
-
-void SimNetwork::delivery_loop() {
-  std::unique_lock lock(mu_);
-  for (;;) {
-    if (shutdown_) return;
-    if (in_flight_count_ == 0 && controls_.empty()) {
-      clock_.wait(worker_.id(), lock, cv_,
-                  [this] { return shutdown_ || in_flight_count_ > 0 || !controls_.empty(); });
-      continue;
-    }
-    const auto deadline = next_deadline();
-    if (clock_.now() < deadline) {
-      // Re-check on wake: an earlier packet, a cancellation of the head, or
-      // shutdown may have invalidated the registered deadline.
-      clock_.wait_until(worker_.id(), lock, cv_, deadline, [this, deadline] {
-        return shutdown_ || (in_flight_count_ == 0 && controls_.empty()) ||
-               next_deadline() != deadline;
-      });
-      continue;
-    }
-    if (hook_ != nullptr) {
-      // Exploration: the hook picks among every eligible event.
-      step_explored(lock);
-      continue;
-    }
-    // Default order: the strict (deliver_at, seq) merge of lane heads and
-    // control events — byte-identical to the pre-seam delivery order (and
-    // controls only exist when a driver scheduled them).
-    const std::size_t ci = earliest_control();
-    if (ci != kNoControl &&
-        (heads_.empty() || std::tie(controls_[ci].at, controls_[ci].seq) <
-                               std::tie(heads_.top().deliver_at, heads_.top().seq))) {
-      run_control(lock, ci);
-      continue;
-    }
-    // earliest_deadline() (via next_deadline) pruned, so the top claim
-    // matches its lane's head: pop the claim and deliver from that lane.
-    const HeadRef head = heads_.top();
-    heads_.pop();
-    deliver_from_lane(lock, head.dest);
-  }
+  if (cands.size() < 2) return cands.front().pick;
+  // Present candidates in natural (deliver_at, seq) order: index 0 is
+  // exactly the default merge choice, so a hook that always picks 0
+  // reproduces the unexplored delivery order, and shrinking a violating
+  // trace toward all-zeros shrinks toward the natural schedule.
+  std::vector<std::size_t> by_time(cands.size());
+  for (std::size_t i = 0; i < by_time.size(); ++i) by_time[i] = i;
+  std::sort(by_time.begin(), by_time.end(), [&order](std::size_t a, std::size_t b) {
+    return std::tie(order[a].at, order[a].seq) < std::tie(order[b].at, order[b].seq);
+  });
+  std::vector<std::uint64_t> keys;
+  keys.reserve(cands.size());
+  for (std::size_t i : by_time) keys.push_back(cands[i].key);
+  const std::size_t chosen = std::min(hook_->choose(keys), cands.size() - 1);
+  return cands[by_time[chosen]].pick;
 }
 
 }  // namespace samoa::net

@@ -2,17 +2,19 @@
 //
 // Substitute for the paper's "distributed machines" testbed (Section 7):
 // an in-process message bus connecting simulated sites with configurable
-// per-link latency, jitter, loss and partitions, plus site crashes. A
-// single delivery thread dequeues packets in virtual-arrival order and
-// hands them to the destination site's delivery callback — which, in the
-// group-communication stack, spawns an isolated computation, exactly the
-// external-event path of a real deployment.
+// per-link latency, jitter, loss and partitions, plus site crashes.
+// Packets leave the in-flight queue in arrival order and go to the
+// destination site's delivery callback — which, in the group-communication
+// stack, spawns an isolated computation, exactly the external-event path
+// of a real deployment.
 //
-// Time base: all deadlines flow through an injected time::ClockSource.
-// Under the default WallClock, latency is wall-clock based — what the
-// overhead experiments need. Under a time::VirtualClock the network takes
-// part in deterministic simulation: packets deliver in virtual time, one
-// at a time, with zero real sleeps.
+// Time base: all deadlines flow through an injected time::ClockSource,
+// which drives the in-flight queue as a time::EventSource. Under the
+// default WallClock, latency is wall-clock based and deliveries run on a
+// real-time thread the clock starts for this network — what the overhead
+// experiments need. Under a time::VirtualClock the network takes part in
+// deterministic simulation: packets deliver on the clock's driver thread
+// in virtual time, one at a time, with zero real sleeps.
 //
 // Determinism: all randomness (jitter, drops) comes from a seeded Rng, and
 // every send consumes the same RNG draws for a given link configuration
@@ -24,10 +26,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -52,8 +55,8 @@ struct LinkOptions {
   double drop_probability = 0.0;
 };
 
-/// Decision seam over the delivery loop, for schedule exploration. When a
-/// hook is installed, every drain step where more than one event is
+/// Decision seam over delivery order, for schedule exploration. When a
+/// hook is installed, every commit step where more than one event is
 /// *eligible* — a lane head whose deadline is due, or a due control event
 /// (fault injections routed through schedule_control) — becomes a decision
 /// point: choose() picks which event fires next instead of the default
@@ -81,7 +84,7 @@ class DeliveryHook {
   virtual std::size_t choose(const std::vector<std::uint64_t>& keys) = 0;
 };
 
-class SimNetwork {
+class SimNetwork : private time::EventSource {
  public:
   using DeliveryFn = std::function<void(const Packet&)>;
 
@@ -92,9 +95,9 @@ class SimNetwork {
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
 
-  /// Register a site; `deliver` runs on the network's delivery thread for
-  /// every packet addressed to it (it should hand off quickly, e.g. spawn
-  /// an isolated computation).
+  /// Register a site; `deliver` runs on the clock's thread for every
+  /// packet addressed to it (it should hand off quickly, e.g. spawn an
+  /// isolated computation).
   SiteId add_site(DeliveryFn deliver);
 
   /// Send a packet. Unknown destinations, crashed endpoints, partitions
@@ -133,15 +136,15 @@ class SimNetwork {
 
   /// Install (or clear, with nullptr) the exploration decision seam. Must
   /// be set while the network is quiet (before traffic / between drains):
-  /// the delivery loop reads it at every drain step.
+  /// every commit step reads it.
   void set_delivery_hook(DeliveryHook* hook);
 
   /// Schedule a control event at virtual offset `delay` from now: a fault
   /// injection (or any scripted step) that should interleave with packet
-  /// delivery as an explorable decision. The callback runs on the delivery
-  /// thread inside its own clock dispatch turn, with the network mutex
-  /// released — it may call any SimNetwork mutator. Without a DeliveryHook
-  /// control events fire in the global (deliver_at, seq) merge order,
+  /// delivery as an explorable decision. The callback runs on the clock's
+  /// thread as an event of its own, with the network mutex released — it
+  /// may call any SimNetwork mutator. Without a DeliveryHook control
+  /// events fire in the global (deliver_at, seq) merge order,
   /// exactly as a TimerService-armed action would; with one, a due control
   /// event is one more candidate at the decision point, so fault *timing*
   /// relative to delivery order is explored too. Control events do not
@@ -217,26 +220,41 @@ class SimNetwork {
     std::function<void()> fn;
   };
 
-  void delivery_loop();
+  /// The due event a commit step takes next: controls_[ix] or the head of
+  /// lane ix.
+  struct Pick {
+    bool control;
+    std::size_t ix;
+  };
+
+  Clock::time_point next_deadline() override;
+  /// Commit the next due event. A due packet to a crashed or detached site
+  /// is dropped here (the late crash check) and the next one considered.
+  std::optional<Clock::time_point> commit(Clock::time_point now) override;
+  /// Deliver the committed packet, or run the committed control event,
+  /// with mu_ released.
+  void fire() override;
+
   const LinkOptions& link_for(SiteId from, SiteId to) const;
-  /// One drain step under an installed DeliveryHook: gather every eligible
-  /// candidate (due lane heads + due control events), let the hook choose
-  /// when there are >= 2, execute the chosen one. Caller holds mu_ and has
-  /// established that at least one event is due.
-  void step_explored(std::unique_lock<std::mutex>& lock);
-  /// Pop lane `lane_ix`'s head and run the delivery protocol (late-crash
-  /// check, callback with mu_ released, stats, claim for the next head).
-  void deliver_from_lane(std::unique_lock<std::mutex>& lock, std::size_t lane_ix);
-  /// Run controls_[ix] on the delivery thread (mu_ released around fn).
-  void run_control(std::unique_lock<std::mutex>& lock, std::size_t ix);
+  /// The default pick: the strict (deliver_at, seq) merge of lane heads and
+  /// control events. Caller holds mu_ and has pruned heads_.
+  Pick pick_default() const;
+  /// The pick under an installed DeliveryHook: gather every eligible
+  /// candidate (due lane heads + due control events) and let the hook
+  /// choose when there are >= 2. Caller holds mu_ and has established that
+  /// at least one event is due.
+  Pick pick_explored(Clock::time_point now);
+  /// Pop lane `lane_ix`'s head and claim the lane's next head. A deliverable
+  /// packet becomes the committed one and its deadline is returned; a
+  /// packet to a crashed or detached site is dropped (nullopt).
+  std::optional<Clock::time_point> take_packet(std::size_t lane_ix);
   /// Index of the earliest pending control by (at, seq); npos when none.
   std::size_t earliest_control() const;
   /// Earliest deadline across lanes and controls (max() when idle).
-  Clock::time_point next_deadline();
+  Clock::time_point next_deadline_locked();
   void note_event(const std::string& line);
-  /// Enqueue into the destination lane; returns true iff the packet became
-  /// the new global earliest (the delivery loop must re-evaluate).
-  bool push_packet(InFlight item);
+  /// Enqueue into the destination lane.
+  void push_packet(InFlight item);
   /// Drop stale HeadRefs until the top claim matches its lane's real head.
   void prune_heads();
   /// Pruned earliest deadline across all lanes (max() when empty).
@@ -272,12 +290,18 @@ class SimNetwork {
   std::vector<std::string> event_log_;
   std::uint64_t event_hash_ = 1469598103934665603ull;  // FNV-1a offset basis
   std::size_t in_flight_count_ = 0;
-  SiteId delivering_;  // site whose callback is currently running
+  // Site of the committed packet, set from commit() until its callback
+  // returned: drain() and detach() wait on it.
+  SiteId delivering_;
+  // The event commit() took and fire() runs: a delivery of
+  // committed_packet_ via committed_deliver_, or else the control step
+  // committed_control_.
+  Packet committed_packet_;
+  DeliveryFn committed_deliver_;
+  std::function<void()> committed_control_;
   std::uint64_t next_seq_ = 0;
-  bool shutdown_ = false;
   Stats stats_;
-  time::WorkerHandle worker_;  // registered before the thread starts
-  std::thread delivery_thread_;
+  std::unique_ptr<time::Attachment> attachment_;  // attached last, detached first
 };
 
 }  // namespace samoa::net

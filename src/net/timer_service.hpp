@@ -1,25 +1,26 @@
 // Timer service — timeouts as external events.
 //
 // In the SAMOA model a timeout is one of the two canonical external events
-// (Section 2). The TimerService runs one thread with a deadline-ordered
-// queue; expired callbacks fire on that thread and typically spawn an
-// isolated computation on the owning site's runtime. Supports one-shot and
-// periodic timers with cancellation.
+// (Section 2). The TimerService keeps a deadline-ordered queue; its clock
+// fires each expired callback, which typically spawns an isolated
+// computation on the owning site's runtime. Supports one-shot and periodic
+// timers with cancellation.
 //
-// All deadlines flow through an injected time::ClockSource. Under the
-// default WallClock behaviour is unchanged; under a time::VirtualClock the
-// service participates in deterministic simulation — callbacks fire in
+// All deadlines flow through an injected time::ClockSource, which drives
+// the queue as a time::EventSource. Under the default WallClock the
+// callbacks run on a real-time thread the clock starts for this service;
+// under a time::VirtualClock they fire on the clock's driver thread in
 // virtual time with zero real sleeps, serialized against every other
 // clock-driven event.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 
 #include "time/clock.hpp"
 #include "util/stats.hpp"
@@ -28,7 +29,7 @@ namespace samoa::net {
 
 using TimerId = std::uint64_t;
 
-class TimerService {
+class TimerService : private time::EventSource {
  public:
   explicit TimerService(time::ClockSource* clock = nullptr);
   ~TimerService();
@@ -62,23 +63,26 @@ class TimerService {
     std::function<void()> fn;
   };
 
-  void loop();
+  /// Queue `fn` at now + `delay`; a non-zero `interval` re-arms it.
+  TimerId arm(std::chrono::microseconds delay, std::chrono::microseconds interval,
+              std::function<void()> fn);
+
+  Clock::time_point next_deadline() override;
+  std::optional<Clock::time_point> commit(Clock::time_point now) override;
+  void fire() override;
 
   time::ClockSource& clock_;
   std::mutex mu_;
-  std::condition_variable cv_;
   std::multimap<Clock::time_point, Entry> queue_;
   TimerId next_id_ = 1;
-  // In-flight dispatch state: the entry currently executing unlocked is no
-  // longer in queue_, so cancel() consults these to stop a periodic timer
-  // from re-arming.
+  // The committed entry: out of queue_ from commit() until fire() returns,
+  // so cancel() consults these to stop a periodic timer from re-arming.
+  Entry running_;
   TimerId running_id_ = 0;
   std::chrono::microseconds running_interval_{0};
   bool running_cancelled_ = false;
-  bool shutdown_ = false;
   Counter fired_;
-  time::WorkerHandle worker_;  // registered before the thread starts
-  std::thread thread_;
+  std::unique_ptr<time::Attachment> attachment_;  // attached last, detached first
 };
 
 }  // namespace samoa::net

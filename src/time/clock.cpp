@@ -1,14 +1,106 @@
 #include "time/clock.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <tuple>
 
 namespace samoa::time {
 
+namespace {
+
+/// WallClock's driver for one source: a real-time thread that commits and
+/// fires whatever is due, then sleeps until the next deadline or until an
+/// insert lands before it.
+class WallRunner final : public Attachment {
+ public:
+  explicit WallRunner(EventSource& events) : events_(events), thread_([this] { run(); }) {}
+
+  ~WallRunner() override {
+    {
+      std::lock_guard g(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  void notify(Clock::time_point at) override {
+    {
+      std::lock_guard g(mu_);
+      if (at >= sleep_until_) return;  // the runner wakes by then anyway
+      dirty_ = true;
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void run() {
+    std::unique_lock lock(mu_);
+    while (!stop_) {
+      dirty_ = false;
+      lock.unlock();
+      if (events_.commit(Clock::now())) {
+        events_.fire();
+        lock.lock();
+        continue;
+      }
+      const auto next = events_.next_deadline();
+      lock.lock();
+      if (dirty_) continue;
+      sleep_until_ = next;
+      const auto woken = [this] { return stop_ || dirty_; };
+      if (next == Clock::time_point::max()) {
+        cv_.wait(lock, woken);
+      } else {
+        cv_.wait_until(lock, next, woken);
+      }
+      sleep_until_ = Clock::time_point::max();  // awake: every insert counts
+    }
+  }
+
+  EventSource& events_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Clock::time_point sleep_until_ = Clock::time_point::max();
+  bool dirty_ = false;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+}  // namespace
+
 ClockSource& wall_clock() {
   static WallClock instance;
   return instance;
+}
+
+std::unique_ptr<Attachment> WallClock::attach(EventSource& source) {
+  return std::make_unique<WallRunner>(source);
+}
+
+class VirtualClock::Slot final : public Attachment {
+ public:
+  Slot(VirtualClock& clock, int id) : clock_(clock), id_(id) {}
+  ~Slot() override { clock_.detach(id_); }
+
+  void notify(Clock::time_point) override {
+    std::lock_guard g(clock_.mu_);
+    clock_.mark_dirty(id_);
+  }
+
+ private:
+  VirtualClock& clock_;
+  int id_;
+};
+
+VirtualClock::VirtualClock() : driver_([this] { run(); }) {}
+
+VirtualClock::~VirtualClock() {
+  {
+    std::lock_guard g(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  driver_.join();
 }
 
 Clock::time_point VirtualClock::now() const {
@@ -16,29 +108,10 @@ Clock::time_point VirtualClock::now() const {
   return now_;
 }
 
-int VirtualClock::add_worker() {
+std::unique_ptr<Attachment> VirtualClock::attach(EventSource& source) {
   std::lock_guard g(mu_);
-  ++workers_;
-  epochs_.push_back(0);
-  return next_worker_id_++;
-}
-
-void VirtualClock::remove_worker([[maybe_unused]] int worker) {
-  std::vector<PendingWake> wakes;
-  {
-    std::unique_lock g(mu_);
-    // An in-flight notify still dereferences some waiter's service
-    // mutex/cv; once this worker deregisters its service may be destroyed,
-    // so drain them before letting the caller proceed.
-    notify_drain_cv_.wait(g, [this] { return notifies_in_flight_ == 0; });
-    // Callers must join the worker thread before WorkerHandle destruction,
-    // so nothing of this worker can still be parked or queued for a turn.
-    for ([[maybe_unused]] const Waiter* w : parked_) assert(w->worker != worker);
-    for ([[maybe_unused]] const TurnRequest* r : turn_requests_) assert(r->worker != worker);
-    --workers_;
-    wakes = step_locked();
-  }
-  flush_wakes(std::move(wakes), nullptr);
+  sources_.push_back(Source{.events = &source});
+  return std::make_unique<Slot>(*this, static_cast<int>(sources_.size() - 1));
 }
 
 void VirtualClock::pin() {
@@ -46,236 +119,104 @@ void VirtualClock::pin() {
   ++pins_;
 }
 
-void VirtualClock::set_wake_policy(WakePolicy* policy) {
-  std::lock_guard g(mu_);
-  wake_policy_ = policy;
-}
-
 void VirtualClock::unpin() {
-  std::vector<PendingWake> wakes;
-  {
-    std::lock_guard g(mu_);
-    if (--pins_ != 0) return;
-    wakes = step_locked();
-  }
-  flush_wakes(std::move(wakes), nullptr);
-}
-
-void VirtualClock::interrupt(int worker) {
-  std::vector<PendingWake> wakes;
-  {
-    std::lock_guard g(mu_);
-    ++epochs_[static_cast<std::size_t>(worker)];
-    wakes = step_locked();
-  }
-  flush_wakes(std::move(wakes), nullptr);
-}
-
-std::uint64_t VirtualClock::wakes() const {
   std::lock_guard g(mu_);
-  return wakes_;
+  if (--pins_ == 0) cv_.notify_one();
 }
 
-std::size_t VirtualClock::parked_workers() const {
-  std::lock_guard g(mu_);
-  return parked_.size();
+void VirtualClock::mark_dirty(int id) {
+  Source& s = sources_[static_cast<std::size_t>(id)];
+  if (s.dirty || s.events == nullptr) return;
+  s.dirty = true;
+  dirty_.push_back(id);
+  cv_.notify_one();
 }
 
-void VirtualClock::park(Waiter& w, std::unique_lock<std::mutex>& lock,
-                        std::condition_variable& cv, const std::function<bool()>& wake) {
-  std::vector<PendingWake> wakes;
-  {
-    std::lock_guard g(mu_);
-    w.epoch = epochs_[static_cast<std::size_t>(w.worker)];
-    parked_.push_back(&w);
-    wakes = step_locked();
-  }
-  // The step may have selected wakes (possibly our own waiter). Deliver
-  // them before blocking; flush_wakes may briefly release `lock`, which is
-  // fine because the wait below re-evaluates its predicate first. A wake
-  // aimed at us is then seen via `woken` on that first evaluation.
-  flush_wakes(std::move(wakes), &lock);
-  cv.wait(lock, [&] { return w.woken.load(std::memory_order_acquire) || wake(); });
-  {
-    std::lock_guard g(mu_);
-    std::erase(parked_, &w);
-    if (w.woken.load(std::memory_order_relaxed)) --pending_wakes_;
-  }
+void VirtualClock::detach(int id) {
+  std::unique_lock lock(mu_);
+  // Forget the source first, so the driver starts no new call into it,
+  // then wait out the call that may be running.
+  Source& s = sources_[static_cast<std::size_t>(id)];
+  s.events = nullptr;
+  if (s.committed) std::erase_if(ready_, [id](const Ready& r) { return r.id == id; });
+  detach_cv_.wait(lock, [&] { return busy_ != id; });
 }
 
-void VirtualClock::wait(int worker, std::unique_lock<std::mutex>& lock,
-                        std::condition_variable& cv, const std::function<bool()>& wake) {
-  Waiter w{worker, lock.mutex(), &cv, Clock::time_point{}, /*has_deadline=*/false, 0};
-  park(w, lock, cv, wake);
+template <typename F>
+void VirtualClock::call(std::unique_lock<std::mutex>& lock, int id, F&& f) {
+  EventSource& events = *sources_[static_cast<std::size_t>(id)].events;
+  busy_ = id;
+  lock.unlock();
+  f(events);
+  lock.lock();
+  busy_ = -1;
+  detach_cv_.notify_all();
 }
 
-void VirtualClock::wait_until(int worker, std::unique_lock<std::mutex>& lock,
-                              std::condition_variable& cv, Clock::time_point deadline,
-                              const std::function<bool()>& wake) {
-  {
-    std::lock_guard g(mu_);
-    if (now_ >= deadline) return;  // already due — caller re-checks its queue
-  }
-  Waiter w{worker, lock.mutex(), &cv, deadline, /*has_deadline=*/true, 0};
-  park(w, lock, cv, wake);
-}
-
-void VirtualClock::begin_dispatch(int worker, Clock::time_point due) {
-  TurnRequest req{worker, due};
-  std::unique_lock g(mu_);
-  turn_requests_.push_back(&req);
-  auto wakes = step_locked();
-  if (!wakes.empty()) {
-    g.unlock();
-    flush_wakes(std::move(wakes), nullptr);
-    g.lock();
-  }
-  turn_cv_.wait(g, [&] { return req.granted; });
-  std::erase(turn_requests_, &req);
-}
-
-void VirtualClock::end_dispatch() {
-  std::vector<PendingWake> wakes;
-  {
-    std::lock_guard g(mu_);
-    turn_active_ = false;
-    wakes = step_locked();
-  }
-  flush_wakes(std::move(wakes), nullptr);
-}
-
-std::vector<VirtualClock::PendingWake> VirtualClock::step_locked() {
-  std::vector<PendingWake> wakes;
-  // Quiescence: no event executing (turn or pin), no wake still being
-  // absorbed, and every registered worker either parked or queued for a
-  // dispatch turn. Anything else means a thread is still computing and may
-  // yet insert earlier events.
-  if (pins_ > 0 || turn_active_ || pending_wakes_ > 0) return wakes;
-  if (workers_ == 0) return wakes;
-  if (static_cast<int>(parked_.size() + turn_requests_.size()) < workers_) return wakes;
-
-  // Re-validate stale registrations first: a producer inserted work into
-  // these waiters' queues since they parked, so their registered deadlines
-  // may overshoot the true next event. Wake them; they re-check their
-  // queues and re-park.
-  for (Waiter* w : parked_) {
-    if (w->epoch != epochs_[static_cast<std::size_t>(w->worker)] &&
-        !w->woken.load(std::memory_order_relaxed)) {
-      w->woken.store(true, std::memory_order_release);
-      ++pending_wakes_;
-      wakes.push_back({w->mu, w->cv});
+void VirtualClock::run() {
+  std::unique_lock lock(mu_);
+  while (!stop_) {
+    if (pins_ > 0) {
+      cv_.wait(lock, [this] { return stop_ || pins_ == 0; });
+      continue;
     }
-  }
-  if (!wakes.empty()) {
-    notifies_in_flight_ += static_cast<int>(wakes.size());
-    wakes_ += wakes.size();
-    return wakes;
-  }
-
-  // Grant the earliest pending dispatch (already-due event). The grantee
-  // waits on turn_cv_ under mu_ itself, so notifying here is race-free.
-  // With a WakePolicy installed and >1 request pending, the policy picks
-  // which dispatch goes first instead of the (due, worker) minimum.
-  if (!turn_requests_.empty()) {
-    TurnRequest* best;
-    if (wake_policy_ != nullptr && turn_requests_.size() > 1) {
-      std::vector<TurnRequest*> sorted(turn_requests_);
-      std::sort(sorted.begin(), sorted.end(), [](const TurnRequest* a, const TurnRequest* b) {
-        return std::tie(a->due, a->worker) < std::tie(b->due, b->worker);
+    if (!dirty_.empty()) {
+      // Re-check: a source whose head is due commits it and becomes ready;
+      // any other refreshes its cached deadline. A committed source is
+      // re-checked only after it fired.
+      const int id = dirty_.back();
+      dirty_.pop_back();
+      Source& s = sources_[static_cast<std::size_t>(id)];
+      s.dirty = false;
+      if (s.events == nullptr || s.committed) continue;
+      const Clock::time_point now = now_;
+      std::optional<Clock::time_point> due;
+      Clock::time_point next = Clock::time_point::max();
+      call(lock, id, [&](EventSource& events) {
+        due = events.commit(now);
+        if (!due) next = events.next_deadline();
       });
-      std::vector<RunnableStep> steps;
-      steps.reserve(sorted.size());
-      for (const TurnRequest* r : sorted) {
-        steps.push_back({RunnableStep::Kind::kDispatch, r->worker, r->due});
+      Source& t = sources_[static_cast<std::size_t>(id)];  // sources_ may have grown
+      if (t.events == nullptr) continue;                    // detached meanwhile
+      if (due) {
+        t.committed = true;
+        ready_.push_back(Ready{*due, id});
+      } else {
+        t.deadline = next;
       }
-      best = sorted[std::min(wake_policy_->choose(steps), sorted.size() - 1)];
-    } else {
-      best = turn_requests_.front();
-      for (TurnRequest* r : turn_requests_) {
-        if (std::tie(r->due, r->worker) < std::tie(best->due, best->worker)) best = r;
-      }
+      continue;
     }
-    best->granted = true;
-    turn_active_ = true;
-    turn_cv_.notify_all();
-    return wakes;
-  }
-
-  // Everyone idle: jump time to the earliest armed deadline and wake that
-  // waiter (exactly one — ties resolve by worker id, and the runner-up is
-  // woken by a later step once this event ran to completion). A WakePolicy
-  // may instead pick any armed deadline; time jumps to the chosen one
-  // (monotonically — never backwards past a bypassed earlier deadline,
-  // which simply fires at a later step as an already-due wake).
-  Waiter* best = nullptr;
-  if (wake_policy_ != nullptr) {
-    std::vector<Waiter*> armed;
-    for (Waiter* w : parked_) {
-      if (w->has_deadline) armed.push_back(w);
+    if (!ready_.empty()) {
+      const auto it =
+          std::min_element(ready_.begin(), ready_.end(), [](const Ready& a, const Ready& b) {
+            return std::tie(a.due, a.id) < std::tie(b.due, b.id);
+          });
+      const int id = it->id;
+      ready_.erase(it);
+      sources_[static_cast<std::size_t>(id)].committed = false;
+      call(lock, id, [](EventSource& events) { events.fire(); });
+      mark_dirty(id);
+      continue;
     }
-    if (armed.size() > 1) {
-      std::sort(armed.begin(), armed.end(), [](const Waiter* a, const Waiter* b) {
-        return std::tie(a->deadline, a->worker) < std::tie(b->deadline, b->worker);
-      });
-      std::vector<RunnableStep> steps;
-      steps.reserve(armed.size());
-      for (const Waiter* w : armed) {
-        steps.push_back({RunnableStep::Kind::kTimer, w->worker, w->deadline});
-      }
-      best = armed[std::min(wake_policy_->choose(steps), armed.size() - 1)];
-    } else if (armed.size() == 1) {
-      best = armed.front();
-    }
-  } else {
-    for (Waiter* w : parked_) {
-      if (!w->has_deadline) continue;
-      if (best == nullptr ||
-          std::tie(w->deadline, w->worker) < std::tie(best->deadline, best->worker)) {
-        best = w;
+    // Nothing ready: advance to the earliest cached head, lowest id first.
+    const Source* next = nullptr;
+    int next_id = -1;
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      const Source& s = sources_[i];
+      if (s.events == nullptr || s.deadline == Clock::time_point::max()) continue;
+      if (next == nullptr || s.deadline < next->deadline) {
+        next = &s;
+        next_id = static_cast<int>(i);
       }
     }
-  }
-  if (best == nullptr) return wakes;  // fully idle: nothing armed, time stands still
-  if (best->deadline > now_) now_ = best->deadline;
-  best->woken.store(true, std::memory_order_release);
-  ++pending_wakes_;
-  ++notifies_in_flight_;
-  ++wakes_;
-  wakes.push_back({best->mu, best->cv});
-  return wakes;
-}
-
-void VirtualClock::flush_wakes(std::vector<PendingWake> wakes,
-                               std::unique_lock<std::mutex>* held) {
-  if (wakes.empty()) return;
-  // A notify is only guaranteed to land if it is issued while holding the
-  // waiter's own mutex: the waiter is then either already blocked (the
-  // notify wakes it) or has yet to evaluate its predicate under that mutex
-  // (and will observe `woken`). Issuing it under mu_ alone can fall into
-  // the gap between predicate check and block and be lost forever.
-  std::size_t others = 0;
-  for (const PendingWake& wk : wakes) {
-    if (held != nullptr && wk.mu == held->mutex()) {
-      wk.cv->notify_all();  // we already hold this waiter's mutex
-    } else {
-      ++others;
+    if (next == nullptr) {
+      // Idle: time stands still until an insert.
+      cv_.wait(lock, [this] { return stop_ || !dirty_.empty(); });
+      continue;
     }
+    now_ = std::max(now_, next->deadline);
+    mark_dirty(next_id);
   }
-  if (others > 0) {
-    // Never hold one service mutex while acquiring another — that is the
-    // only place a lock cycle between services could form. Dropping the
-    // caller's lock is safe: park's cv.wait re-checks its predicate.
-    if (held != nullptr) held->unlock();
-    for (const PendingWake& wk : wakes) {
-      if (held != nullptr && wk.mu == held->mutex()) continue;
-      std::lock_guard wl(*wk.mu);
-      wk.cv->notify_all();
-    }
-    if (held != nullptr) held->lock();
-  }
-  std::lock_guard g(mu_);
-  notifies_in_flight_ -= static_cast<int>(wakes.size());
-  if (notifies_in_flight_ == 0) notify_drain_cv_.notify_all();
 }
 
 }  // namespace samoa::time

@@ -13,6 +13,7 @@
 #include "cc/version_gate.hpp"
 #include "diag/wait_registry.hpp"
 #include "diag/watchdog.hpp"
+#include "net/timer_service.hpp"
 #include "time/clock.hpp"
 #include "util/sync.hpp"
 
@@ -209,41 +210,18 @@ TEST(DeadlockWatchdog, KickResetsTheWindow) {
   EXPECT_EQ(stalls_seen.load(), 0);
 }
 
-// A worker that drip-feeds a VirtualClock: each iteration parks on a short
-// virtual deadline (the scheduler jumps time forward and wakes it), then
-// spends real wall time before the next one — so simulated time keeps
-// moving across the watchdog's polls, the way a long live experiment does.
+// Drip-feeds a VirtualClock: a periodic virtual 1 ms timer whose callback
+// spends real wall time before the next one fires — so simulated time
+// keeps moving across the watchdog's polls, the way a long live experiment
+// does.
 class VirtualTimeDriver {
  public:
-  explicit VirtualTimeDriver(time::VirtualClock& clock) : clock_(clock), worker_(clock) {
-    thread_ = std::thread([this] {
-      std::mutex mu;
-      std::condition_variable cv;
-      while (!stop_.load(std::memory_order_relaxed)) {
-        const auto deadline = clock_.now() + 1ms;
-        {
-          std::unique_lock lock(mu);
-          while (clock_.now() < deadline && !stop_.load(std::memory_order_relaxed)) {
-            clock_.wait_until(worker_.id(), lock, cv, deadline,
-                              [this] { return stop_.load(std::memory_order_relaxed); });
-          }
-        }
-        std::this_thread::sleep_for(5ms);
-      }
-    });
-  }
-
-  ~VirtualTimeDriver() {
-    stop_.store(true, std::memory_order_relaxed);
-    clock_.interrupt(worker_.id());  // in case the worker is parked when we stop
-    thread_.join();
+  explicit VirtualTimeDriver(time::VirtualClock& clock) : timers_(&clock) {
+    timers_.schedule_periodic(1ms, [] { std::this_thread::sleep_for(5ms); });
   }
 
  private:
-  time::VirtualClock& clock_;
-  time::WorkerHandle worker_;  // registered before the thread starts
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  net::TimerService timers_;
 };
 
 TEST(DeadlockWatchdog, ClockAwareStuckBudgetIgnoresLongVirtualWaits) {

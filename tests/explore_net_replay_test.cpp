@@ -40,14 +40,16 @@ void expect_same_run(const NetRunResult& a, const NetRunResult& b, const std::st
   EXPECT_EQ(a.violated, b.violated) << label;
 }
 
-TEST(ScheduleTraceNet, NDecisionsRoundtripAlongsideStepAndClock) {
+TEST(ScheduleTraceNet, NDecisionsRoundtripAlongsideStepDecisions) {
   ScheduleTrace t;
   t.record('s', 2, 4);
   t.record('n', 1, 3);
-  t.record('c', 1, 2);
+  t.record('s', 1, 2);
   t.record('n', 0, 5);
-  EXPECT_EQ(t.encode(), "s2/4.n1/3.c1/2.n0/5");
+  EXPECT_EQ(t.encode(), "s2/4.n1/3.s1/2.n0/5");
   EXPECT_EQ(ScheduleTrace::decode(t.encode()), t);
+  // 'c' (the retired clock kind) is no longer a decision token.
+  EXPECT_THROW(ScheduleTrace::decode("s2/4.c1/2"), std::invalid_argument);
 }
 
 TEST(ExploreNetReplay, RecordedTracesReplayByteIdenticallyAcrossStrategies) {

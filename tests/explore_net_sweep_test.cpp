@@ -49,7 +49,6 @@ TEST(ExploreNetSweep, RandomWalkFlagsUnsyncWithShrunkCounterexample) {
   // Every explored decision in a net cell is a network decision.
   EXPECT_GT(res.decisions.n, 0u);
   EXPECT_EQ(res.decisions.s, 0u);
-  EXPECT_EQ(res.decisions.c, 0u);
   EXPECT_EQ(res.decisions.total(), res.decisions.n);
 
   // The shrunk counterexample replays as a standalone repro: same seeded

@@ -2,19 +2,14 @@
 // whole tentpole rests on: a (workload seed, decision trace) pair
 // reproduces a run bit-for-bit. Covers the ScheduleTrace wire format, the
 // strategies' mechanics (exhaustive DFS, replay divergence detection), the
-// delta-debugging shrinker against a synthetic oracle, end-to-end replay
-// across every controller policy, and the VirtualClock WakePolicy seam
-// ('c' decisions).
+// delta-debugging shrinker against a synthetic oracle, and end-to-end
+// replay across every controller policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "explore/runner.hpp"
@@ -22,7 +17,6 @@
 #include "explore/strategy.hpp"
 #include "explore/trace.hpp"
 #include "test_support.hpp"
-#include "time/clock.hpp"
 
 namespace samoa::explore {
 namespace {
@@ -33,14 +27,15 @@ TEST(ScheduleTrace, EncodeDecodeRoundtrip) {
   ScheduleTrace t;
   t.record('s', 2, 4);
   t.record('s', 0, 3);
-  t.record('c', 1, 2);
-  EXPECT_EQ(t.encode(), "s2/4.s0/3.c1/2");
+  t.record('n', 1, 2);
+  EXPECT_EQ(t.encode(), "s2/4.s0/3.n1/2");
   EXPECT_EQ(ScheduleTrace::decode(t.encode()), t);
   EXPECT_TRUE(ScheduleTrace::decode("").empty());
 }
 
 TEST(ScheduleTrace, DecodeRejectsMalformedInput) {
   EXPECT_THROW(ScheduleTrace::decode("x1/2"), std::invalid_argument);   // unknown kind
+  EXPECT_THROW(ScheduleTrace::decode("c1/2"), std::invalid_argument);   // retired clock kind
   EXPECT_THROW(ScheduleTrace::decode("s3/2"), std::invalid_argument);   // chosen >= ncand
   EXPECT_THROW(ScheduleTrace::decode("s0/1"), std::invalid_argument);   // not a decision
   EXPECT_THROW(ScheduleTrace::decode("s1"), std::invalid_argument);     // no count
@@ -220,91 +215,6 @@ TEST(ExploreReplay, FirstStrategyRunsSeriallyAndClean) {
   EXPECT_TRUE(r.executed.empty() ||
               std::all_of(r.executed.decisions().begin(), r.executed.decisions().end(),
                           [](const Decision& d) { return d.chosen == 0; }));
-}
-
-// --- VirtualClock WakePolicy seam ('c' decisions) -------------------------
-
-/// Three worker threads, each sleeping through a fixed ladder of virtual
-/// deadlines; returns the order in which wakes were granted.
-std::vector<int> run_clock_scenario(time::VirtualClock& clock) {
-  std::mutex log_mu;
-  std::vector<int> order;
-
-  std::mutex ready_mu;
-  std::condition_variable ready_cv;
-  int ready = 0;
-
-  const std::vector<std::vector<int>> ladders = {{5, 12, 9}, {7, 3, 11}, {4, 8, 6}};
-  std::vector<std::thread> threads;
-  {
-    // Pin virtual time until every worker registered and reached its first
-    // park, so the first decision point always sees all three candidates.
-    time::Pin setup(clock);
-    for (int idx = 0; idx < 3; ++idx) {
-      threads.emplace_back([&, idx] {
-        time::WorkerHandle worker(clock);
-        std::mutex mu;
-        std::condition_variable cv;
-        {
-          std::lock_guard g(ready_mu);
-          ++ready;
-        }
-        ready_cv.notify_one();
-        for (int ms : ladders[static_cast<std::size_t>(idx)]) {
-          const auto deadline = clock.now() + std::chrono::milliseconds(ms);
-          std::unique_lock lock(mu);
-          while (clock.now() < deadline) {
-            clock.wait_until(worker.id(), lock, cv, deadline, [] { return false; });
-          }
-          lock.unlock();
-          {
-            std::lock_guard g(log_mu);
-            order.push_back(idx);
-          }
-          lock.lock();
-        }
-      });
-    }
-    std::unique_lock lock(ready_mu);
-    ready_cv.wait(lock, [&] { return ready == 3; });
-  }
-  for (auto& t : threads) t.join();
-  return order;
-}
-
-TEST(ExploreReplay, ClockWakePolicyDecisionsReplay) {
-  const std::uint64_t seed = samoa::testing::test_seed(11);
-
-  ScheduleTrace recorded;
-  std::vector<int> explored_order;
-  {
-    time::VirtualClock clock;
-    RandomWalkStrategy walk(seed);
-    ExploringWakePolicy policy(walk);
-    clock.set_wake_policy(&policy);
-    explored_order = run_clock_scenario(clock);
-    recorded = policy.trace();
-  }
-  ASSERT_EQ(explored_order.size(), 9u);
-
-  // Replay the 'c' decisions: identical wake order, no divergence.
-  {
-    time::VirtualClock clock;
-    ReplayStrategy replay(recorded);
-    ExploringWakePolicy policy(replay);
-    clock.set_wake_policy(&policy);
-    const std::vector<int> replayed_order = run_clock_scenario(clock);
-    EXPECT_EQ(replayed_order, explored_order) << "trace: " << recorded.encode();
-    EXPECT_FALSE(replay.diverged());
-    EXPECT_EQ(policy.trace(), recorded);
-  }
-
-  // Without a policy the clock stays its deterministic min-deadline self.
-  {
-    time::VirtualClock a;
-    time::VirtualClock b;
-    EXPECT_EQ(run_clock_scenario(a), run_clock_scenario(b));
-  }
 }
 
 }  // namespace

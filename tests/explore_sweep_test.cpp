@@ -103,10 +103,10 @@ TEST(ExploreSweep, IsolatingPoliciesStayCleanAcrossTheSweep) {
     // SAMOA_EXPLORE_SCHEDULES multiplier the nightly job sets).
     EXPECT_EQ(res.schedules_run, schedule_budget(base.max_schedules)) << res.cell_name();
     EXPECT_GT(res.decision_points, 0u) << res.cell_name() << ": no decisions were explored";
-    // Per-kind accounting: controller cells explore step ('s') and clock
-    // ('c') decisions but never network ('n') ones — those only exist when
-    // a DeliveryHook is installed on a SimNetwork, which these in-process
-    // workloads don't use. The kinds must sum to the total.
+    // Per-kind accounting: controller cells explore step ('s') decisions
+    // but never network ('n') ones — those only exist when a DeliveryHook
+    // is installed on a SimNetwork, which these in-process workloads don't
+    // use. The kinds must sum to the total.
     EXPECT_EQ(res.decisions.total(), res.decision_points) << res.cell_name();
     EXPECT_GT(res.decisions.s, 0u) << res.cell_name();
     EXPECT_EQ(res.decisions.n, 0u) << res.cell_name();

@@ -2,14 +2,15 @@
 // partitions, crashes, detach) and TimerService.
 //
 // Most cases run on a time::VirtualClock: deadlines fire in virtual time
-// at quiescence, so the tests are deterministic and burn zero wall-clock
-// time in sleeps. The two *regression* tests at the bottom (drain during a
-// delivery callback, cancel during a periodic callback) deliberately run
-// on the wall clock with short bounded sleeps — they reproduce races that
-// only exist when callbacks overlap real time.
+// on the clock's event loop, so the tests are deterministic and burn zero
+// wall-clock time in sleeps. The two *regression* tests at the bottom
+// (drain during a delivery callback, cancel during a periodic callback)
+// deliberately run on the wall clock with short bounded sleeps — they
+// reproduce races that only exist when callbacks overlap real time.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -294,39 +295,108 @@ TEST(TimerService, CancelAllStopsEverything) {
   EXPECT_EQ(count.load(), 0);
 }
 
-TEST(VirtualClock, ScheduleWakesOnlyTheTargetServicesWaiter) {
-  // Interrupts are per worker: arming a timer on one service re-validates
-  // that service's parked deadline only. A fleet-wide interrupt would wake
-  // all N parked workers (N context switches per send or schedule); this
-  // pins the targeted count at the quiescent step.
-  constexpr std::size_t kServices = 8;
+// Same-instant order rule. After each event the clock re-checks the
+// source that just ran and every source that got an insert during it; a
+// re-checked source whose head is due now commits it and joins the ready
+// set, which runs in (due, source id) order before any untouched source
+// due at the same instant. Source ids follow registration order.
+
+TEST(VirtualClock, SourcesTouchedByAnEventRunBeforeUntouchedSameInstantSources) {
   VirtualClock clock;
+  TimerService s1(&clock), s2(&clock), s3(&clock);
+  std::mutex mu;
+  std::vector<int> order;
+  const auto log = [&](int who) {
+    std::lock_guard g(mu);
+    order.push_back(who);
+  };
+  WaitGroup wg;
+  wg.add(3);
+  {
+    Pin setup(clock);
+    s1.schedule(std::chrono::microseconds(1000), [&] {
+      log(1);
+      s3.schedule(std::chrono::microseconds(0), [&] {
+        log(3);
+        wg.done();
+      });
+      wg.done();
+    });
+    s2.schedule(std::chrono::microseconds(1000), [&] {
+      log(2);
+      wg.done();
+    });
+  }
+  wg.wait();
+  // A plain global (deadline, id) loop would give 1, 2, 3.
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(clock.now().time_since_epoch(), std::chrono::microseconds(1000));
+}
+
+TEST(VirtualClock, CommittedTimerFiresDespiteSameInstantCancel) {
+  VirtualClock clock;
+  TimerService s1(&clock), s2(&clock), s3(&clock);
+  std::atomic<TimerId> s3_timer{0};
+  std::atomic<bool> cancel_result{true};
+  std::atomic<bool> s3_fired{false};
+  OneShotEvent done, sentinel;
+  {
+    Pin setup(clock);
+    s1.schedule(std::chrono::microseconds(1000), [&] {
+      // Both re-checked after this event: both commit their zero-delay
+      // timers, so S3's is out of its queue before S2 runs.
+      s2.schedule(std::chrono::microseconds(0), [&] {
+        cancel_result.store(s3.cancel(s3_timer.load()));
+        done.set();
+      });
+      s3_timer.store(s3.schedule(std::chrono::microseconds(0), [&] { s3_fired.store(true); }));
+    });
+  }
+  EXPECT_TRUE(done.wait_for(std::chrono::milliseconds(5000)));
+  {
+    Pin fence(clock);
+    s1.schedule(std::chrono::microseconds(1000), [&] { sentinel.set(); });
+  }
+  EXPECT_TRUE(sentinel.wait_for(std::chrono::milliseconds(5000)));
+  EXPECT_FALSE(cancel_result.load()) << "cancel reached a timer its source had already committed";
+  EXPECT_TRUE(s3_fired.load());
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(VirtualClock, OneDriverThreadRunsEveryService) {
+  // The clock is one event loop: its driver thread fires every attached
+  // source's events, and the services own no threads of their own.
+  constexpr std::size_t kServices = 16;
+  const std::size_t before = thread_count();
+  VirtualClock clock;
+  EXPECT_EQ(thread_count(), before + 1);
+  SimNetwork net(LinkOptions{}, 1, &clock);
   std::vector<std::unique_ptr<TimerService>> services;
   for (std::size_t i = 0; i < kServices; ++i) {
     services.push_back(std::make_unique<TimerService>(&clock));
   }
-  const auto await_all_parked = [&] {
-    while (clock.parked_workers() < kServices) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  await_all_parked();
+  EXPECT_EQ(thread_count(), before + 1) << "a service started a thread of its own";
+
   OneShotEvent fired;
-  std::uint64_t before = 0;
+  std::atomic<long> fired_at_us{-1};
   {
     Pin hold(clock);
-    services[3]->schedule(std::chrono::microseconds(1000), [&] { fired.set(); });
-    await_all_parked();  // the target re-parked on its new deadline
-    before = clock.wakes();
+    services[3]->schedule(std::chrono::microseconds(1000), [&] {
+      fired_at_us.store(static_cast<long>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                              clock.now().time_since_epoch())
+                                              .count()));
+      fired.set();
+    });
   }
   EXPECT_TRUE(fired.wait_for(std::chrono::milliseconds(5000)));
-  await_all_parked();
-  // At most one stale-deadline re-validation of the target (if it parked
-  // before the interrupt) plus the time-advance wake that fires its timer.
-  const std::uint64_t woken = clock.wakes() - before;
-  EXPECT_GE(woken, 1u);
-  EXPECT_LE(woken, 2u) << "schedule() on one service woke other services' waiters";
-  EXPECT_EQ(clock.now().time_since_epoch(), std::chrono::microseconds(1000));
+  EXPECT_EQ(fired_at_us.load(), 1000);
 }
 
 // --- Race regressions (wall clock on purpose; see file header) ---

@@ -8,10 +8,10 @@
 // is a pure function of its seed.
 //
 // Scheduling discipline: every scripted callback performs exactly ONE
-// node API call (one spawned computation). The clock's dispatch turns plus
-// the runtime's activity pins then serialize all computations, which is
-// what makes the message streams — and the seeded RNG draws they trigger —
-// replay identically.
+// node API call (one spawned computation). The clock's one-event-at-a-time
+// loop plus the runtime's activity pins then serialize all computations,
+// which is what makes the message streams — and the seeded RNG draws they
+// trigger — replay identically.
 #pragma once
 
 #include <algorithm>
