@@ -7,14 +7,21 @@
 
 namespace samoa {
 
+/// One declared microprotocol of a computation: its gate, resolved once at
+/// admission, and the private version pv[p] claimed there.
+struct VersionSlot {
+  MicroprotocolId mp;
+  VersionGate* gate = nullptr;
+  std::uint64_t pv = 0;
+};
+
 class VCABasicComputationCC : public ComputationCC {
  public:
-  VCABasicComputationCC(VCABasicController& ctrl, ComputationId k,
-                        std::unordered_map<MicroprotocolId, std::uint64_t> pv)
-      : ctrl_(ctrl), k_(k), pv_(std::move(pv)) {}
+  VCABasicComputationCC(VCABasicController& ctrl, ComputationId k, std::vector<VersionSlot> slots)
+      : ctrl_(ctrl), k_(k), slots_(std::move(slots)) {}
 
   void on_issue(HandlerId, const Handler& h) override {
-    if (!pv_.contains(h.owner().id())) {
+    if (find(h.owner().id()) == nullptr) {
       std::ostringstream os;
       os << "isolated: computation " << k_ << " called handler '" << h.name()
          << "' of undeclared microprotocol '" << h.owner().name() << "'";
@@ -23,8 +30,9 @@ class VCABasicComputationCC : public ComputationCC {
   }
 
   void before_execute(const Handler& h) override {
-    const auto pv = pv_.at(h.owner().id());
-    ctrl_.gates_.gate(h.owner().id()).wait_exact(pv - 1, ctrl_.stats_, h.owner().name().c_str());
+    // on_issue already rejected undeclared microprotocols.
+    const VersionSlot& slot = *find(h.owner().id());
+    slot.gate->wait_exact(slot.pv - 1, ctrl_.stats_, h.owner().name().c_str());
   }
 
   void after_execute(const Handler&) override {}
@@ -32,30 +40,40 @@ class VCABasicComputationCC : public ComputationCC {
   void on_complete() override {
     // Step 3: upgrade in admission order is implied — each wait_exact can
     // only be satisfied once every older computation upgraded, so the
-    // iteration order over pv_ is irrelevant for correctness.
-    for (const auto& [mp, pv] : pv_) {
-      auto& gate = ctrl_.gates_.gate(mp);
-      gate.wait_exact(pv - 1, ctrl_.stats_);
-      gate.set_lv(pv);
+    // iteration order over the slots is irrelevant for correctness.
+    for (const VersionSlot& slot : slots_) {
+      slot.gate->wait_exact(slot.pv - 1, ctrl_.stats_);
+      slot.gate->set_lv(slot.pv);
     }
   }
 
  private:
+  /// Linear scan: a declaration names a handful of microprotocols, so this
+  /// beats hashing.
+  const VersionSlot* find(MicroprotocolId mp) const {
+    for (const VersionSlot& slot : slots_) {
+      if (slot.mp == mp) return &slot;
+    }
+    return nullptr;
+  }
+
   VCABasicController& ctrl_;
   ComputationId k_;
-  std::unordered_map<MicroprotocolId, std::uint64_t> pv_;
+  std::vector<VersionSlot> slots_;
 };
 
 std::unique_ptr<ComputationCC> VCABasicController::admit(ComputationId k, const Isolation& spec) {
   stats_.admissions.add();
-  std::unordered_map<MicroprotocolId, std::uint64_t> pv;
   const auto& members = spec.members();
+  std::vector<VersionSlot> slots;
+  slots.reserve(members.size());
   if (members.size() == 1) {
     // Fast path: one microprotocol means one counter, so the admission is
     // atomic by construction — a single lock-free fetch_add.
     stats_.admit_fast.add();
     const MicroprotocolId mp = members.front();
-    pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
+    VersionGate& gate = gates_.gate(mp);
+    slots.push_back({mp, &gate, gate.admit(1, k.value())});
   } else {
     // Slow path: Step 1 must bump every member gate as one indivisible
     // step. Holding all member admission locks in mp-id order serializes
@@ -64,10 +82,11 @@ std::unique_ptr<ComputationCC> VCABasicController::admit(ComputationId k, const 
     stats_.admit_slow.add();
     OrderedAdmission locks(gates_, members);
     for (MicroprotocolId mp : members) {
-      pv.emplace(mp, gates_.gate(mp).admit(1, k.value()));
+      VersionGate& gate = gates_.gate(mp);
+      slots.push_back({mp, &gate, gate.admit(1, k.value())});
     }
   }
-  return std::make_unique<VCABasicComputationCC>(*this, k, std::move(pv));
+  return std::make_unique<VCABasicComputationCC>(*this, k, std::move(slots));
 }
 
 std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
@@ -94,10 +113,10 @@ std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
     for (const AdmitRequest& r : reqs) {
       const MicroprotocolId mp = r.spec->members().front();
       const std::uint64_t pv_k = next.at(mp)++;
-      gates_.gate(mp).note_holder(pv_k, r.k.value());
-      std::unordered_map<MicroprotocolId, std::uint64_t> pv;
-      pv.emplace(mp, pv_k);
-      out.push_back(std::make_unique<VCABasicComputationCC>(*this, r.k, std::move(pv)));
+      VersionGate& gate = gates_.gate(mp);
+      gate.note_holder(pv_k, r.k.value());
+      out.push_back(std::make_unique<VCABasicComputationCC>(
+          *this, r.k, std::vector<VersionSlot>{{mp, &gate, pv_k}}));
     }
     return out;
   }
@@ -111,11 +130,13 @@ std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
   }
   OrderedAdmission locks(gates_, union_mps);
   for (const AdmitRequest& r : reqs) {
-    std::unordered_map<MicroprotocolId, std::uint64_t> pv;
+    std::vector<VersionSlot> slots;
+    slots.reserve(r.spec->members().size());
     for (MicroprotocolId mp : r.spec->members()) {
-      pv.emplace(mp, gates_.gate(mp).admit(1, r.k.value()));
+      VersionGate& gate = gates_.gate(mp);
+      slots.push_back({mp, &gate, gate.admit(1, r.k.value())});
     }
-    out.push_back(std::make_unique<VCABasicComputationCC>(*this, r.k, std::move(pv)));
+    out.push_back(std::make_unique<VCABasicComputationCC>(*this, r.k, std::move(slots)));
   }
   return out;
 }

@@ -7,9 +7,8 @@
 
 namespace samoa {
 
-Computation::Computation(Runtime& runtime, ComputationId id, Isolation spec,
-                         std::unique_ptr<ComputationCC> cc)
-    : runtime_(runtime), id_(id), spec_(std::move(spec)), cc_(std::move(cc)) {}
+Computation::Computation(Runtime& runtime, ComputationId id, std::unique_ptr<ComputationCC> cc)
+    : runtime_(runtime), id_(id), cc_(std::move(cc)) {}
 
 void Computation::task_started() { pending_tasks_.fetch_add(1, std::memory_order_acq_rel); }
 

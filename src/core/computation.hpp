@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cc/controller.hpp"
-#include "core/isolation.hpp"
 #include "util/ids.hpp"
 #include "util/sync.hpp"
 
@@ -48,8 +47,7 @@ class UndoLog {
 
 class Computation : public std::enable_shared_from_this<Computation> {
  public:
-  Computation(Runtime& runtime, ComputationId id, Isolation spec,
-              std::unique_ptr<ComputationCC> cc);
+  Computation(Runtime& runtime, ComputationId id, std::unique_ptr<ComputationCC> cc);
 
   Computation(const Computation&) = delete;
   Computation& operator=(const Computation&) = delete;
@@ -57,7 +55,6 @@ class Computation : public std::enable_shared_from_this<Computation> {
   ComputationId id() const { return id_; }
   Runtime& runtime() const { return runtime_; }
   ComputationCC& cc() const { return *cc_; }
-  const Isolation& spec() const { return spec_; }
 
   /// Task accounting. The root expression counts as one task; every
   /// asynchronous trigger adds one. The task that drops the count to zero
@@ -88,7 +85,6 @@ class Computation : public std::enable_shared_from_this<Computation> {
 
   Runtime& runtime_;
   ComputationId id_;
-  Isolation spec_;
   std::unique_ptr<ComputationCC> cc_;
 
   std::atomic<std::size_t> pending_tasks_{0};

@@ -6,7 +6,6 @@
 // values: they can be stored, passed to handlers, and used as keys.
 #pragma once
 
-#include <any>
 #include <memory>
 #include <string>
 #include <typeinfo>
@@ -38,6 +37,11 @@ class EventType {
 /// Type-erased event payload. Handlers receive a `const Message&` and read
 /// it with `as<T>()`; a mismatched type raises MessageTypeError rather
 /// than UB.
+///
+/// The payload is immutable and shared: `of` builds it once, and a copy of
+/// the Message only bumps a reference count, so a `Wire` handed through
+/// spawn, trigger and the async queues is never duplicated. Every copy
+/// aliases the same object (`&a.as<T>() == &b.as<T>()`).
 class Message {
  public:
   Message() = default;
@@ -45,30 +49,32 @@ class Message {
   template <typename T>
   static Message of(T value) {
     Message m;
-    m.payload_ = std::move(value);
+    m.payload_ = std::make_shared<const T>(std::move(value));
+    m.type_ = &typeid(T);
     return m;
   }
 
-  bool empty() const { return !payload_.has_value(); }
+  bool empty() const { return type_ == nullptr; }
 
   template <typename T>
   const T& as() const {
-    const T* p = std::any_cast<T>(&payload_);
-    if (p == nullptr) {
+    if (!holds<T>()) {
       throw MessageTypeError(std::string("Message payload is ") +
-                             (payload_.has_value() ? payload_.type().name() : "<empty>") +
-                             ", requested " + typeid(T).name());
+                             (type_ != nullptr ? type_->name() : "<empty>") + ", requested " +
+                             typeid(T).name());
     }
-    return *p;
+    return *static_cast<const T*>(payload_.get());
   }
 
+  /// True iff the payload's type is exactly T (no conversions).
   template <typename T>
   bool holds() const {
-    return std::any_cast<T>(&payload_) != nullptr;
+    return type_ != nullptr && *type_ == typeid(T);
   }
 
  private:
-  std::any payload_;
+  std::shared_ptr<const void> payload_;
+  const std::type_info* type_ = nullptr;
 };
 
 }  // namespace samoa

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <deque>
+#include <optional>
 #include <string_view>
 
 #include "core/errors.hpp"
@@ -164,14 +165,21 @@ std::function<void()> Runtime::root_task(std::shared_ptr<Computation> comp,
   };
 }
 
-ComputationHandle Runtime::spawn_isolated(Isolation spec, std::function<void(Context&)> root) {
+ComputationHandle Runtime::spawn_isolated(const Isolation& spec,
+                                          std::function<void(Context&)> root) {
   if (!stack_.sealed()) stack_.seal();
-  if (spec.kind() == Isolation::Kind::Route) spec.resolve_route(stack_);
+  // Route handler ids resolve against this stack; a private copy keeps the
+  // caller's declaration reusable.
+  std::optional<Isolation> resolved;
+  if (spec.kind() == Isolation::Kind::Route) {
+    resolved.emplace(spec);
+    resolved->resolve_route(stack_);
+  }
 
   const ComputationId id = comp_ids_.next();
   // Step 1 (atomic admission) happens inside the controller.
-  auto cc = controller_->admit(id, spec);
-  auto comp = std::make_shared<Computation>(*this, id, std::move(spec), std::move(cc));
+  auto cc = controller_->admit(id, resolved ? *resolved : spec);
+  auto comp = std::make_shared<Computation>(*this, id, std::move(cc));
   if (opts_.policy == CCPolicy::kTSO) comp->enable_undo();
 
   {
@@ -221,8 +229,7 @@ std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRe
   std::vector<std::shared_ptr<Computation>> comps;
   comps.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    auto comp = std::make_shared<Computation>(*this, admits[i].k, std::move(reqs[i].spec),
-                                              std::move(ccs[i]));
+    auto comp = std::make_shared<Computation>(*this, admits[i].k, std::move(ccs[i]));
     if (opts_.policy == CCPolicy::kTSO) comp->enable_undo();
     comps.push_back(std::move(comp));
   }

@@ -88,7 +88,9 @@ class Runtime {
 
   /// Spawn a computation under the isolation declaration `spec`; `root` is
   /// the expression e of `isolated M e`. Seals the stack on first use.
-  ComputationHandle spawn_isolated(Isolation spec, std::function<void(Context&)> root);
+  /// The declaration is only read during admission, so a caller may build
+  /// it once and spawn from it any number of times.
+  ComputationHandle spawn_isolated(const Isolation& spec, std::function<void(Context&)> root);
 
   /// One element of a batched spawn: the same (spec, root) pair
   /// spawn_isolated takes.

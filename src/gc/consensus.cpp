@@ -202,6 +202,12 @@ void Consensus::handle_decide(Outbox& out, const CsDecide& d) {
   if (inst.decided) return;
   inst.decided = true;
   inst.accepted_value = d.value;
+  // Every later message for a decided instance is answered from
+  // accepted_value alone; the proposer state is dead weight from here on.
+  inst.proposal = {};
+  inst.chosen = {};
+  inst.promises = {};
+  inst.accepted_from = {};
   decided_count_.add();
   out.trigger(events_->cs_decided, Message::of(CsDecided{d.instance, d.value}));
 }

@@ -25,16 +25,19 @@ namespace samoa::gc {
 /// locks — the realistic discipline a careful Cactus programmer follows.
 /// Under the VCA policies the guard is a no-op and the outbox merely
 /// defers triggers to the end of the handler body, which is equivalent.
+///
+/// Entries point at the caller's event types, which must outlive flush();
+/// the microprotocols pass members of the node's GcEvents.
 class Outbox {
  public:
   void trigger(const EventType& ev, Message msg) {
-    entries_.push_back({ev, std::move(msg), Mode::kOne});
+    entries_.push_back({&ev, std::move(msg), Mode::kOne});
   }
   void trigger_all(const EventType& ev, Message msg) {
-    entries_.push_back({ev, std::move(msg), Mode::kAll});
+    entries_.push_back({&ev, std::move(msg), Mode::kAll});
   }
   void async_trigger_all(const EventType& ev, Message msg) {
-    entries_.push_back({ev, std::move(msg), Mode::kAsyncAll});
+    entries_.push_back({&ev, std::move(msg), Mode::kAsyncAll});
   }
 
   /// Emit everything in queueing order. Call WITHOUT holding the guard.
@@ -42,13 +45,13 @@ class Outbox {
     for (auto& e : entries_) {
       switch (e.mode) {
         case Mode::kOne:
-          ctx.trigger(e.ev, std::move(e.msg));
+          ctx.trigger(*e.ev, std::move(e.msg));
           break;
         case Mode::kAll:
-          ctx.trigger_all(e.ev, std::move(e.msg));
+          ctx.trigger_all(*e.ev, std::move(e.msg));
           break;
         case Mode::kAsyncAll:
-          ctx.async_trigger_all(e.ev, std::move(e.msg));
+          ctx.async_trigger_all(*e.ev, std::move(e.msg));
           break;
       }
     }
@@ -58,7 +61,7 @@ class Outbox {
  private:
   enum class Mode { kOne, kAll, kAsyncAll };
   struct Entry {
-    EventType ev;
+    const EventType* ev;
     Message msg;
     Mode mode;
   };

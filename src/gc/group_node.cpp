@@ -87,6 +87,7 @@ void GroupNode::build_stack() {
   consensus_->set_frontier_source([ab = abcast_] { return ab->next_instance(); });
 
   bind_all();
+  build_specs();
 
   RuntimeOptions rt_opts;
   rt_opts.policy = opts_.policy;
@@ -164,7 +165,7 @@ void GroupNode::bind_all() {
   sink_->set_view_source([mb = membership_] { return mb->view_snapshot().id(); });
 }
 
-Isolation GroupNode::spec(EventClass klass) const {
+Isolation GroupNode::make_spec(EventClass klass) const {
   std::vector<const Microprotocol*> members;
   switch (klass) {
     case EventClass::kRcData:
@@ -231,18 +232,31 @@ Isolation GroupNode::spec(EventClass klass) const {
     for (const auto* mp : members) bounds.emplace_back(mp, opts_.vca_bound);
     return Isolation::bound(std::move(bounds));
   }
-  if (opts_.policy == CCPolicy::kVCARoute) {
+  return Isolation::basic(std::move(members));
+}
+
+void GroupNode::build_specs() {
+  specs_.clear();
+  if (opts_.policy == CCPolicy::kVCARoute) return;
+  specs_.reserve(kEventClasses);
+  for (std::size_t i = 0; i < kEventClasses; ++i) {
+    specs_.push_back(make_spec(static_cast<EventClass>(i)));
+  }
+}
+
+ComputationHandle GroupNode::spawn(EventClass klass, const EventType& ev, Message msg) {
+  if (specs_.empty()) {
     throw ConfigError(
         "GroupNode does not support VCAroute: the stack's call patterns are "
         "data-dependent (the paper notes the variants' use is limited when "
         "routing cannot be declared statically)");
   }
-  return Isolation::basic(std::move(members));
-}
-
-ComputationHandle GroupNode::spawn(EventClass klass, const EventType& ev, Message msg) {
-  return runtime_->spawn_isolated(
-      spec(klass), [ev, msg = std::move(msg)](Context& ctx) { ctx.trigger(ev, msg); });
+  // `ev` is one of events_, which outlives the runtime and so every
+  // computation it runs.
+  return runtime_->spawn_isolated(specs_[static_cast<std::size_t>(klass)],
+                                  [ev = &ev, msg = std::move(msg)](Context& ctx) {
+                                    ctx.trigger(*ev, msg);
+                                  });
 }
 
 void GroupNode::on_packet(const net::Packet& packet) {
@@ -250,31 +264,31 @@ void GroupNode::on_packet(const net::Packet& packet) {
     return;
   }
   // Unmarshal from the binary network format when the codec path is on;
-  // otherwise the simulator carried the typed value directly.
-  const FromWire fw =
-      opts_.serialize_wire
-          ? net::decode_wire(packet.payload.as<std::vector<std::uint8_t>>())
-          : FromWire{packet.from, packet.payload.as<Wire>()};
-  const Wire& wire = fw.wire;
+  // otherwise the simulator carried Transport's FromWire itself, and the
+  // computation shares that payload.
+  const Message msg = opts_.serialize_wire
+                          ? Message::of(net::decode_wire(
+                                packet.payload.as<std::vector<std::uint8_t>>()))
+                          : packet.payload;
   std::visit(
       [&](const auto& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, RcData>) {
-          spawn(EventClass::kRcData, events_.rc_data, Message::of(fw));
+          spawn(EventClass::kRcData, events_.rc_data, msg);
         } else if constexpr (std::is_same_v<T, RcAck>) {
-          spawn(EventClass::kRcAck, events_.rc_ack, Message::of(fw));
+          spawn(EventClass::kRcAck, events_.rc_ack, msg);
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-          spawn(EventClass::kFdHeartbeat, events_.fd_heartbeat, Message::of(fw));
+          spawn(EventClass::kFdHeartbeat, events_.fd_heartbeat, msg);
         } else if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                              std::is_same_v<T, SwimPingReq>) {
-          spawn(EventClass::kSwimWire, events_.swim_wire, Message::of(fw));
+          spawn(EventClass::kSwimWire, events_.swim_wire, msg);
         } else if constexpr (std::is_same_v<T, ViewInstall>) {
-          spawn(EventClass::kViewInstall, events_.view_install, Message::of(fw));
+          spawn(EventClass::kViewInstall, events_.view_install, msg);
         } else {
-          spawn(EventClass::kCsWire, events_.cs_wire, Message::of(fw));
+          spawn(EventClass::kCsWire, events_.cs_wire, msg);
         }
       },
-      wire);
+      msg.as<FromWire>().wire);
 }
 
 void GroupNode::start(View initial_view) {
@@ -284,8 +298,9 @@ void GroupNode::start(View initial_view) {
   }
   // Install the initial view through the regular ViewInstall path so every
   // microprotocol learns it inside one isolated computation.
-  const FromWire fw{self_, Wire{ViewInstall{initial_view.id(), initial_view.members()}}};
-  spawn(EventClass::kViewInstall, events_.view_install, Message::of(fw)).wait();
+  spawn(EventClass::kViewInstall, events_.view_install,
+        Message::of(FromWire{self_, Wire{ViewInstall{initial_view.id(), initial_view.members()}}}))
+      .wait();
 
   arm_timers();
 }

@@ -191,8 +191,14 @@ class GroupNode {
     kApiCcast,
     kApiJoinLeave,
   };
+  static constexpr std::size_t kEventClasses =
+      static_cast<std::size_t>(EventClass::kApiJoinLeave) + 1;
 
-  Isolation spec(EventClass klass) const;
+  /// The declaration of one event class over the current stack.
+  Isolation make_spec(EventClass klass) const;
+  /// Fill specs_ for the current stack (its microprotocol ids are new
+  /// after every restart). Left empty under VCAroute, which spawn rejects.
+  void build_specs();
   ComputationHandle spawn(EventClass klass, const EventType& ev, Message msg);
   /// Spawn a periodic tick computation unless the previous tick of the
   /// same class is still in flight (tick coalescing). A stalled stack —
@@ -224,6 +230,9 @@ class GroupNode {
   SeqABcast* seq_abcast_ = nullptr;
   Membership* membership_ = nullptr;
   DeliverSink* sink_ = nullptr;
+  /// One declaration per EventClass, built once per stack; every spawn
+  /// admits from these without copying them.
+  std::vector<Isolation> specs_;
 
   std::unique_ptr<Runtime> runtime_;
   // Tick-coalescing state is used by timer callbacks, so it must be

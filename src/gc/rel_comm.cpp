@@ -46,7 +46,7 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
                   Message::of(TransportSend{fw.from, Wire{RcAck{data.seq}}}));
       if (!view_.contains(fw.from)) {
         discarded_unknown_sender_.add();
-      } else if (seen_[fw.from].insert(data.seq).second) {
+      } else if (seen_[fw.from].insert(data.seq)) {
         out.async_trigger_all(events_->from_rcomm, Message::of(data.body));
       }
     }
@@ -133,7 +133,7 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
     }
     // Per-peer state for anyone evicted from the view is dead weight at
     // best (retransmissions to a crashed site would otherwise run forever)
-    // and poison at worst (a stale dedup set would silently swallow a
+    // and poison at worst (a stale dedup floor would silently swallow a
     // rejoined incarnation's fresh sequence numbers).
     gc_evicted_peers();
   });
@@ -160,7 +160,7 @@ void RelComm::gc_evicted_peers() {
       ++it;
     }
   }
-  // Dedup sets and sequence counters go too: Membership evicts a crashed
+  // Dedup floors and sequence counters go too: Membership evicts a crashed
   // site before it can rejoin, so clearing here guarantees both sides of a
   // future re-join start from fresh sequence state. retrans_to_ survives
   // on purpose — it is a statistic, and tests sample it after eviction.

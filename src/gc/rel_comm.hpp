@@ -13,7 +13,7 @@
 // counted so experiments can observe exactly when the race bites.
 //
 // Crash-recovery hygiene: the viewChange handler garbage-collects every
-// per-peer structure (unacked entries, flow-control backlog, dedup sets,
+// per-peer structure (unacked entries, flow-control backlog, dedup floors,
 // sequence counters) for peers evicted from the view, so retransmissions
 // to a dead peer stop at the view change instead of running forever, and
 // a later re-join of the same site starts from clean sequence state on
@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -33,6 +34,54 @@
 #include "util/stats.hpp"
 
 namespace samoa::gc {
+
+/// Receive-side duplicate filter for one sender's sequence numbers: a
+/// contiguous run [floor, top) of seen seqs plus a set of the seen seqs
+/// outside it. The run starts at the first seq seen and grows at either
+/// end, absorbing set entries it reaches, so in-order arrivals keep no
+/// per-packet node: memory is bounded by the reordering window, not by the
+/// packets received. It answers exactly as a set of every seq ever
+/// inserted would, for any seq a peer sends.
+class DedupFloor {
+ public:
+  /// Record `seq`; true iff it was not seen before.
+  bool insert(std::uint64_t seq) {
+    if (contains(seq)) return false;
+    if (seq == kLast) {
+      outside_.insert(seq);  // the run's exclusive end cannot pass it
+    } else if (floor_ == top_) {
+      floor_ = seq;
+      top_ = seq + 1;
+    } else if (seq == top_) {
+      ++top_;
+      while (top_ != kLast && outside_.erase(top_) > 0) ++top_;
+    } else if (seq + 1 == floor_) {
+      --floor_;
+      while (floor_ > 0 && outside_.erase(floor_ - 1) > 0) --floor_;
+    } else {
+      outside_.insert(seq);
+    }
+    return true;
+  }
+
+  bool contains(std::uint64_t seq) const {
+    return (floor_ <= seq && seq < top_) || outside_.contains(seq);
+  }
+
+  /// The contiguous run of seen seqs, [floor(), top()); empty before the
+  /// first insert.
+  std::uint64_t floor() const { return floor_; }
+  std::uint64_t top() const { return top_; }
+  /// Seen seqs held outside the run (the out-of-order window).
+  std::size_t outside() const { return outside_.size(); }
+
+ private:
+  static constexpr std::uint64_t kLast = std::numeric_limits<std::uint64_t>::max();
+
+  std::uint64_t floor_ = 0;
+  std::uint64_t top_ = 0;
+  std::set<std::uint64_t> outside_;
+};
 
 class RelComm : public GcMicroprotocol {
  public:
@@ -83,7 +132,7 @@ class RelComm : public GcMicroprotocol {
   std::map<std::pair<SiteId, std::uint64_t>, Pending> unacked_;  // (target, seq)
   std::unordered_map<SiteId, std::uint64_t> in_flight_;          // per-peer unacked count
   std::unordered_map<SiteId, std::deque<AppMessage>> backlog_;   // waiting for credits
-  std::unordered_map<SiteId, std::set<std::uint64_t>> seen_;     // per-sender dedup
+  std::unordered_map<SiteId, DedupFloor> seen_;                  // per-sender dedup
   std::unordered_map<SiteId, std::uint64_t> retrans_to_;  // per-peer retransmissions
   Counter discarded_out_of_view_;
   Counter discarded_unknown_sender_;

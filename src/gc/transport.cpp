@@ -12,7 +12,7 @@ Transport::Transport(const GcOptions& opts, const GcEvents&, net::SimNetwork& ne
     if (options().serialize_wire) {
       net_.send(self_, req.to, Message::of(net::encode_wire(self_, req.wire)));
     } else {
-      net_.send(self_, req.to, Message::of(req.wire));
+      net_.send(self_, req.to, Message::of(FromWire{self_, req.wire}));
     }
   });
 }

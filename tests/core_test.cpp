@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "core/errors.hpp"
@@ -37,6 +39,52 @@ TEST(Message, EmptyMessage) {
   Message m;
   EXPECT_TRUE(m.empty());
   EXPECT_THROW(m.as<int>(), MessageTypeError);
+}
+
+TEST(Message, CopiesAliasOnePayload) {
+  const auto m = Message::of(std::vector<int>{1, 2, 3});
+  const Message copy = m;
+  Message assigned;
+  assigned = copy;
+  EXPECT_EQ(&copy.as<std::vector<int>>(), &m.as<std::vector<int>>());
+  EXPECT_EQ(&assigned.as<std::vector<int>>(), &m.as<std::vector<int>>());
+  const Message moved = std::move(assigned);
+  EXPECT_EQ(&moved.as<std::vector<int>>(), &m.as<std::vector<int>>());
+  EXPECT_EQ(m.as<std::vector<int>>(), (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Message, WrongTypeErrorNamesBothTypes) {
+  const auto m = Message::of(42);
+  try {
+    (void)m.as<std::string>();
+    FAIL() << "as<std::string>() on an int payload did not throw";
+  } catch (const MessageTypeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(typeid(int).name()), std::string::npos) << what;
+    EXPECT_NE(what.find(typeid(std::string).name()), std::string::npos) << what;
+  }
+  try {
+    (void)Message{}.as<int>();
+    FAIL() << "as<int>() on an empty message did not throw";
+  } catch (const MessageTypeError& e) {
+    EXPECT_NE(std::string(e.what()).find("<empty>"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Message, HoldsMatchesTheExactTypeOnly) {
+  struct Base {
+    int x = 0;
+  };
+  struct Derived : Base {};
+  const auto d = Message::of(Derived{});
+  EXPECT_TRUE(d.holds<Derived>());
+  EXPECT_FALSE(d.holds<Base>());
+  EXPECT_THROW((void)d.as<Base>(), MessageTypeError);
+  const auto i = Message::of(7);
+  EXPECT_TRUE(i.holds<int>());
+  EXPECT_FALSE(i.holds<long>());
+  EXPECT_FALSE(i.holds<unsigned>());
+  EXPECT_FALSE(Message{}.holds<int>());
 }
 
 /// Minimal microprotocol: one counter, one handler that bumps it.

@@ -1,11 +1,16 @@
 // Component-level tests of the group-communication microprotocols on
 // small clusters: RelComm dedup/acks/retransmit give-up, RelCast
 // rebroadcast semantics, ABcast batching, consensus under coordinator
-// crash, and Outbox ordering.
+// crash and late messages after a decision, and Outbox ordering.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "gc/group_node.hpp"
 #include "util/rng.hpp"
@@ -25,6 +30,49 @@ bool wait_until(Pred pred, std::chrono::milliseconds timeout = std::chrono::mill
   }
   return pred();
 }
+
+/// Records the payload of every event bound to it.
+class Tap : public Microprotocol {
+ public:
+  explicit Tap(std::string name) : Microprotocol(std::move(name)) {
+    record = &register_handler("record", [this](Context&, const Message& m) {
+      std::unique_lock lock(mu);
+      seen.push_back(m);
+    });
+  }
+
+  std::vector<Message> take() {
+    std::unique_lock lock(mu);
+    return std::exchange(seen, {});
+  }
+
+  const Handler* record = nullptr;
+
+ private:
+  std::mutex mu;
+  std::vector<Message> seen;
+};
+
+/// One microprotocol under test on a bare stack, with taps standing in for
+/// the rest of the node. Every call to run() is one isolated computation
+/// declaring the whole stack.
+struct BareStack {
+  GcOptions opts;
+  GcEvents events;
+  Stack stack;
+  std::vector<const Microprotocol*> all;
+  std::unique_ptr<Runtime> rt;
+
+  void start() {
+    for (const auto& mp : stack.microprotocols()) all.push_back(mp.get());
+    rt = std::make_unique<Runtime>(stack);
+  }
+  void run(const EventType& ev, Message msg) {
+    rt->spawn_isolated(Isolation::basic(all), [&ev, msg](Context& ctx) {
+        ctx.trigger(ev, msg);
+      }).wait();
+  }
+};
 
 struct Pair {
   SimNetwork net;
@@ -79,6 +127,38 @@ TEST(RelCommComponent, EvictedTargetDroppedFromBuffer) {
   p.nodes[0]->request_leave(p.nodes[2]->id());
   EXPECT_TRUE(wait_until([&] { return p.nodes[0]->rel_comm().unacked_in_flight() == 0; }))
       << "retransmit buffer kept entries for an evicted site";
+}
+
+TEST(RelCommComponent, DedupRestartsForAnEvictedPeer) {
+  // An evicted peer that rejoins numbers its packets from 1 again; its old
+  // dedup run must not swallow them.
+  const SiteId self(0), peer(1);
+  BareStack b;
+  auto& rc = b.stack.emplace<RelComm>(b.opts, b.events, self, View(1, {self, peer}));
+  auto& acks = b.stack.emplace<Tap>("acks");
+  auto& up = b.stack.emplace<Tap>("up");
+  b.stack.bind(b.events.rc_data, *rc.recv_data_handler());
+  b.stack.bind(b.events.view_change, *rc.view_change_handler());
+  b.stack.bind(b.events.transport_send, *acks.record);
+  b.stack.bind(b.events.from_rcomm, *up.record);
+  b.start();
+  auto data = [&](std::uint64_t seq) {
+    b.run(b.events.rc_data,
+          Message::of(FromWire{peer, Wire{RcData{seq, AppMessage{seq, "m", false}}}}));
+  };
+
+  data(1);
+  data(2);
+  data(1);  // duplicate
+  EXPECT_EQ(up.take().size(), 2u);
+  EXPECT_EQ(acks.take().size(), 3u) << "every copy is acknowledged";
+
+  b.run(b.events.view_change, Message::of(View(2, {self})));
+  b.run(b.events.view_change, Message::of(View(3, {self, peer})));
+  data(1);
+  data(2);
+  data(2);  // duplicate in the new lifetime
+  EXPECT_EQ(up.take().size(), 2u) << "the rejoined peer's fresh seqs were swallowed";
 }
 
 TEST(RelCastComponent, EveryMemberRebroadcastsOnce) {
@@ -187,6 +267,57 @@ TEST(ConsensusComponent, DecisionsIdenticalAcrossSites) {
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].id, ref[i].id);
   }
+}
+
+TEST(ConsensusComponent, DecidedInstanceAnswersLateMessagesWithTheDecision) {
+  // Deciding drops the instance's proposer state; the acceptor's copy of
+  // the value must still answer every late message with the decision.
+  const SiteId self(0), a(1), c(2);
+  BareStack b;
+  auto& cs = b.stack.emplace<Consensus>(b.opts, b.events, self, View(1, {self, a, c}));
+  auto& sends = b.stack.emplace<Tap>("sends");
+  auto& decided = b.stack.emplace<Tap>("decided");
+  b.stack.bind(b.events.cs_propose, *cs.propose_handler());
+  b.stack.bind(b.events.cs_wire, *cs.on_wire_handler());
+  b.stack.bind(b.events.transport_send, *sends.record);
+  b.stack.bind(b.events.cs_decided, *decided.record);
+  b.start();
+  auto wire = [&](SiteId from, Wire w) {
+    b.run(b.events.cs_wire, Message::of(FromWire{from, std::move(w)}));
+  };
+  const ConsensusValue value{AppMessage{7, "seven", true}};
+
+  // Instance 0 is coordinated by member_at(0) == self: run it to a decision.
+  b.run(b.events.cs_propose, Message::of(CsPropose{0, value}));
+  const auto prepares = sends.take();
+  ASSERT_EQ(prepares.size(), 3u);
+  const std::uint64_t round =
+      std::get<CsPrepare>(prepares.front().as<TransportSend>().wire).round;
+  wire(a, CsPromise{0, round, 0, std::nullopt});
+  wire(c, CsPromise{0, round, 0, std::nullopt});
+  wire(a, CsAccepted{0, round});
+  wire(c, CsAccepted{0, round});
+  wire(self, CsDecide{0, value});
+  ASSERT_EQ(decided.take().size(), 1u);
+  sends.take();
+
+  auto expect_decide_to = [&](SiteId to) {
+    const auto out = sends.take();
+    ASSERT_EQ(out.size(), 1u);
+    const auto& send = out.front().as<TransportSend>();
+    EXPECT_EQ(send.to, to);
+    const auto* d = std::get_if<CsDecide>(&send.wire);
+    ASSERT_NE(d, nullptr) << "answered with " << wire_kind(send.wire);
+    EXPECT_EQ(d->instance, 0u);
+    EXPECT_EQ(d->value, value);
+  };
+  wire(a, CsPrepare{0, round + 5});
+  expect_decide_to(a);
+  wire(c, CsAccept{0, round + 7, ConsensusValue{AppMessage{8, "other", true}}});
+  expect_decide_to(c);
+  wire(a, CsPrepare{0, 0});  // round-0 decision pull
+  expect_decide_to(a);
+  EXPECT_TRUE(decided.take().empty()) << "a late message re-decided the instance";
 }
 
 TEST(FailureDetectorComponent, ViewChangePrunesEvictedBookkeeping) {

@@ -1,10 +1,18 @@
 // Unit tests for the group-communication building blocks that don't need a
-// network: views, message ids, the membership op codec, wire kinds.
+// network: views, message ids, the membership op codec, wire kinds, and
+// RelComm's receive dedup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <vector>
+
 #include "gc/membership.hpp"
+#include "gc/rel_comm.hpp"
 #include "gc/view.hpp"
 #include "gc/wire.hpp"
+#include "util/rng.hpp"
 
 namespace samoa::gc {
 namespace {
@@ -93,6 +101,87 @@ TEST(WireKind, NamesAllAlternatives) {
   EXPECT_STREQ(wire_kind(Wire{CsAccepted{}}), "CsAccepted");
   EXPECT_STREQ(wire_kind(Wire{CsDecide{}}), "CsDecide");
   EXPECT_STREQ(wire_kind(Wire{ViewInstall{}}), "ViewInstall");
+}
+
+/// A stream over [0, n) as a lossy, reordering, duplicating link delivers
+/// it: each seq may be dropped (a gap), repeated, and displaced by up to
+/// `window` positions.
+std::vector<std::uint64_t> scrambled_stream(Rng& rng, std::uint64_t n, std::uint64_t window) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t seq = 0; seq < n; ++seq) {
+    if (rng.chance(0.05)) continue;
+    out.push_back(seq);
+    while (rng.chance(0.2)) out.push_back(seq);
+  }
+  for (std::size_t i = 0; i < out.size() && window > 0; ++i) {
+    const std::size_t j = std::min(out.size() - 1, i + rng.next_below(window + 1));
+    std::swap(out[i], out[j]);
+  }
+  return out;
+}
+
+TEST(DedupFloor, MatchesSetModelOverScrambledStreams) {
+  for (std::uint64_t trial = 0; trial < 300; ++trial) {
+    Rng rng(trial);
+    const std::uint64_t n = 1 + rng.next_below(300);
+    const std::uint64_t window = rng.next_below(40);
+    DedupFloor floor;
+    std::set<std::uint64_t> model;
+    for (std::uint64_t seq : scrambled_stream(rng, n, window)) {
+      ASSERT_EQ(floor.insert(seq), model.insert(seq).second)
+          << "trial " << trial << " seq " << seq;
+    }
+    for (std::uint64_t seq = 0; seq < n + 3; ++seq) {
+      ASSERT_EQ(floor.contains(seq), model.contains(seq)) << "trial " << trial << " seq " << seq;
+    }
+    // Everything in the run is in the model; the rest is held outside it.
+    EXPECT_EQ(floor.top() - floor.floor() + floor.outside(), model.size()) << "trial " << trial;
+  }
+}
+
+TEST(DedupFloor, InOrderStreamKeepsNothingOutsideTheRun) {
+  DedupFloor floor;
+  EXPECT_FALSE(floor.contains(0));
+  for (std::uint64_t seq = 1; seq <= 1000; ++seq) ASSERT_TRUE(floor.insert(seq));
+  EXPECT_EQ(floor.outside(), 0u);
+  EXPECT_EQ(floor.floor(), 1u);
+  EXPECT_EQ(floor.top(), 1001u);
+  EXPECT_FALSE(floor.contains(0));  // never seen, though below the run
+  EXPECT_TRUE(floor.insert(0));
+  EXPECT_FALSE(floor.insert(0));
+  EXPECT_EQ(floor.floor(), 0u);
+}
+
+TEST(DedupFloor, MatchesSetModelAtTheTopOfTheRange) {
+  // Seqs come off the wire, so any value can arrive, including the last
+  // one, which the run's exclusive end cannot cover: first, beside a run
+  // starting at 0, and as the next seq of a run that reaches it.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::vector<std::uint64_t>> streams = {
+      {kMax, kMax - 1, kMax, 0, kMax - 2},
+      {0, 1, kMax, 2, kMax, kMax - 1},
+      {kMax - 2, kMax, kMax - 1, kMax, kMax - 3, 0, kMax - 1},
+  };
+  for (const auto& stream : streams) {
+    DedupFloor floor;
+    std::set<std::uint64_t> model;
+    for (std::uint64_t seq : stream) {
+      ASSERT_EQ(floor.insert(seq), model.insert(seq).second) << "seq " << seq;
+    }
+    for (std::uint64_t back = 0; back < 6; ++back) {
+      EXPECT_EQ(floor.contains(kMax - back), model.contains(kMax - back)) << "seq max-" << back;
+      EXPECT_EQ(floor.contains(back), model.contains(back)) << "seq " << back;
+    }
+  }
+}
+
+TEST(DedupFloor, ReorderedStreamDrainsTheOutsideSet) {
+  DedupFloor floor;
+  for (std::uint64_t seq : {5, 7, 6, 2, 4, 3, 9, 8, 1}) ASSERT_TRUE(floor.insert(seq));
+  EXPECT_EQ(floor.outside(), 0u);
+  EXPECT_EQ(floor.floor(), 1u);
+  EXPECT_EQ(floor.top(), 10u);
+  for (std::uint64_t seq = 1; seq < 10; ++seq) EXPECT_FALSE(floor.insert(seq));
 }
 
 }  // namespace

@@ -468,8 +468,11 @@ struct ChurnOutcome {
   bool converged = false;     // survivors agree on the survivor view + all traffic
   long converged_at_us = -1;
   // Detection latency, sampled at site 0 every 500us after the crash:
-  // first crashed site suspected / every crashed site suspected (-1 = the
-  // eviction landed first, so the sample window closed).
+  // first crashed site accused after the crash / every crashed site
+  // suspected (-1 = the eviction landed first, so the sample window
+  // closed). An accusation still standing from before the crash (the
+  // healed island's, say) detected nothing, so it is not a first
+  // suspicion; it does count toward "every crashed site suspected".
   long first_suspicion_us = -1;
   long all_suspected_us = -1;
   // Distinct (observer, target) survivor pairs ever seen suspected while
@@ -578,6 +581,10 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   // False-positive sampling state: packed (observer, target) pairs.
   std::unordered_set<std::uint64_t> fp_pairs;
   const int fp_observers = std::min(s, 8);
+  // Per crash victim: site 0 has not accused it since the crash (it was
+  // unsuspected at the crash or has been sampled unsuspected since), so a
+  // suspicion of it now is an accusation raised after the crash.
+  std::vector<char> unaccused(static_cast<std::size_t>(crashes), 0);
 
   {
     time::Pin setup(clock);
@@ -625,8 +632,12 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
     // Simultaneous crash of the last `crashes` sites (one scripted action:
     // a correlated rack failure, not a trickle).
     plan.call(microseconds(30000), "crash " + std::to_string(crashes) + " sites",
-              [&nodes, s, sites] {
-                for (int i = s; i < sites; ++i) nodes[i]->crash();
+              [&nodes, &members, &unaccused, s, sites] {
+                for (int i = s; i < sites; ++i) {
+                  unaccused[static_cast<std::size_t>(i - s)] =
+                      !nodes[0]->detector().is_suspected(members[i]);
+                  nodes[i]->crash();
+                }
               });
 
     // Scripted evictions from site 0 once the detection window closed.
@@ -651,15 +662,17 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
     // removes a site from the detector's tracked set, so sampling is only
     // meaningful inside the detect window; unset samples stay -1.
     script.schedule_periodic(microseconds(500), [&, s, sites] {
-      if (out.all_suspected_us >= 0) return;
+      if (out.all_suspected_us >= 0 && out.first_suspicion_us >= 0) return;
       if (now_us() < 30000) return;
       auto& det = nodes[0]->detector();
       bool any = false, all = true;
       for (int i = s; i < sites; ++i) {
-        if (det.is_suspected(members[i])) {
-          any = true;
-        } else {
+        char& fresh = unaccused[static_cast<std::size_t>(i - s)];
+        if (!det.is_suspected(members[i])) {
+          fresh = 1;
           all = false;
+        } else if (fresh) {
+          any = true;
         }
       }
       if (any && out.first_suspicion_us < 0) out.first_suspicion_us = now_us();
