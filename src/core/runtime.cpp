@@ -1,9 +1,7 @@
 #include "core/runtime.hpp"
 
-#include <cstdlib>
 #include <deque>
 #include <optional>
-#include <string_view>
 
 #include "core/errors.hpp"
 #include "diag/wait_registry.hpp"
@@ -12,24 +10,19 @@ namespace samoa {
 
 namespace {
 
-DispatchImpl resolve_dispatch(const RuntimeOptions& opts) {
-  DispatchImpl impl = opts.dispatch_impl;
-  if (impl == DispatchImpl::kAuto) {
-    // Under a virtual clock the pins already let only one event run at a
-    // time, so threads would buy handoffs, not parallelism.
-    const bool virtual_time = opts.clock != nullptr && opts.clock->is_virtual();
-    impl = virtual_time ? DispatchImpl::kInline : DispatchImpl::kExecutor;
-    if (const char* env = std::getenv("SAMOA_DISPATCH")) {
-      if (std::string_view(env) == "pool") impl = DispatchImpl::kElasticPool;
-    }
-  }
-  // Exploration always drives the per-task pool path; see the
-  // RuntimeOptions::dispatch_impl comment.
-  if (opts.step_hook != nullptr) impl = DispatchImpl::kElasticPool;
-  return impl;
+// The elastic pool's thread bounds. The cap counts runnable workers only:
+// a worker parked in a version gate does not hold a slot.
+constexpr std::size_t kMinPoolThreads = 2;
+constexpr std::size_t kMaxPoolThreads = 1024;
+
+// Under a virtual clock the pins already let only one event run at a time,
+// so threads would buy handoffs, not parallelism. Exploration needs the
+// pool's independently startable tasks on either clock.
+bool dispatches_inline(const RuntimeOptions& opts) {
+  return opts.clock != nullptr && opts.clock->is_virtual() && opts.step_hook == nullptr;
 }
 
-// The kInline substrate: one run-to-completion queue per thread, shared by
+// The inline substrate: one run-to-completion queue per thread, shared by
 // every inline runtime the thread spawns into. Async handler tasks drain
 // before queued roots, so a computation spawned from inside a task starts
 // only after the running computation finished its async work. At most one
@@ -44,7 +37,7 @@ struct InlineQueue {
   /// Run queued tasks until both queues are empty, unless an enclosing
   /// frame on this thread is already doing so. Tasks record their own
   /// errors on their computation; one that escapes terminates, as it does
-  /// on an executor or pool thread.
+  /// on a pool thread.
   void drain() noexcept {
     if (draining) return;
     draining = true;
@@ -66,42 +59,32 @@ thread_local InlineQueue t_inline;
 Runtime::Runtime(Stack& stack, RuntimeOptions opts)
     : stack_(stack),
       opts_(opts),
-      dispatch_(resolve_dispatch(opts)),
+      inline_(dispatches_inline(opts)),
       controller_(make_controller(opts.policy)),
       trace_(opts.record_trace ? std::make_unique<TraceRecorder>() : nullptr),
-      // The pool's floor threads would sit idle under any other substrate.
-      pool_(ElasticThreadPool::Options{dispatch_ == DispatchImpl::kElasticPool ? opts.min_threads
-                                                                                 : 0,
-                                       opts.max_threads, std::chrono::milliseconds(200)}),
-      executors_(dispatch_ == DispatchImpl::kExecutor
-                     ? std::make_unique<ExecutorGroup>(opts.executor, &controller_->stats())
-                     : nullptr) {}
+      // An inline runtime never submits to the pool; its floor threads
+      // would sit idle.
+      pool_(ElasticThreadPool::Options{inline_ ? 0 : kMinPoolThreads, kMaxPoolThreads,
+                                       std::chrono::milliseconds(200)}) {}
 
 Runtime::~Runtime() {
   drain();
-  if (executors_ != nullptr) executors_->shutdown();
   pool_.shutdown();
 }
 
 void Runtime::submit_root(std::uint64_t comp_id, std::function<void()> fn) {
-  if (dispatch_ == DispatchImpl::kInline) {
+  if (inline_) {
     t_inline.roots.push_back(std::move(fn));
     t_inline.drain();
-  } else if (executors_ != nullptr) {
-    executors_->submit(executors_->next_shard(), std::move(fn), comp_id);
   } else {
     pool_.submit(std::move(fn), comp_id);
   }
 }
 
-void Runtime::submit_handler(MicroprotocolId owner, std::uint64_t comp_id,
-                             std::function<void()> fn) {
-  if (dispatch_ == DispatchImpl::kInline) {
+void Runtime::submit_handler(std::uint64_t comp_id, std::function<void()> fn) {
+  if (inline_) {
     t_inline.handlers.push_back(std::move(fn));
     t_inline.drain();
-  } else if (executors_ != nullptr) {
-    // The owning microprotocol's shard keeps its async work FIFO.
-    executors_->submit(executors_->shard_of(owner.value()), std::move(fn), comp_id);
   } else {
     pool_.submit(std::move(fn), comp_id);
   }
@@ -244,49 +227,22 @@ std::vector<ComputationHandle> Runtime::spawn_isolated_batch(std::vector<SpawnRe
   }
   try {
     stats_.spawned.add(comps.size());
-    if (executors_ != nullptr) {
-      // Shard-major enqueue in admission order (the executor implies no
-      // step hook, so tickets are 0): the burst is split into contiguous
-      // chunks, one chunk per shard, each root task still its own queue
-      // node. Contiguous runs amortize the consumer wakeup (the first
-      // submit of a chunk wakes the shard, the rest land on a running
-      // consumer's run-to-completion batch) where interleaved round-robin
-      // pays a cross-thread wakeup per task; every shard still gets a
-      // chunk, so burst members may overlap, with the versions claimed by
-      // admit_batch ordering the conflicts.
-      const std::size_t nshards = executors_->shard_count();
-      const std::size_t chunk = (comps.size() + nshards - 1) / nshards;
-      const std::size_t base = executors_->next_shard();
-      for (std::size_t i = 0; i < comps.size(); ++i) {
-        auto& comp = comps[i];
-        if (trace_) {
-          trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
-        }
-        comp->task_started();  // the root expression counts as one task
-        executors_->submit((base + i / chunk) % nshards,
-                           root_task(comp, std::move(reqs[i].root), /*ticket=*/0),
-                           comp->id().value());
-      }
+    std::vector<ElasticThreadPool::Task> tasks;
+    tasks.reserve(comps.size());
+    for (std::size_t i = 0; i < comps.size(); ++i) {
+      auto& comp = comps[i];
+      if (trace_) trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
+      comp->task_started();  // the root expression counts as one task
+      const std::uint64_t ticket =
+          opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
+      tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
+    }
+    if (inline_) {
+      // Admission order; the members run back to back once all are queued.
+      for (ElasticThreadPool::Task& t : tasks) t_inline.roots.push_back(std::move(t.fn));
+      t_inline.drain();
     } else {
-      std::vector<ElasticThreadPool::Task> tasks;
-      tasks.reserve(comps.size());
-      for (std::size_t i = 0; i < comps.size(); ++i) {
-        auto& comp = comps[i];
-        if (trace_) {
-          trace_->record(TracePhase::kSpawn, comp->id(), MicroprotocolId{}, HandlerId{});
-        }
-        comp->task_started();  // the root expression counts as one task
-        const std::uint64_t ticket =
-            opts_.step_hook != nullptr ? opts_.step_hook->on_task_submitted(comp->id()) : 0;
-        tasks.push_back({root_task(comp, std::move(reqs[i].root), ticket), comp->id().value()});
-      }
-      if (dispatch_ == DispatchImpl::kInline) {
-        // Admission order; the members run back to back once all are queued.
-        for (ElasticThreadPool::Task& t : tasks) t_inline.roots.push_back(std::move(t.fn));
-        t_inline.drain();
-      } else {
-        pool_.submit_batch(std::move(tasks));
-      }
+      pool_.submit_batch(std::move(tasks));
     }
   } catch (...) {
     for (const auto& comp : comps) {

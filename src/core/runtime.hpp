@@ -19,7 +19,6 @@
 #include "cc/controller.hpp"
 #include "core/computation.hpp"
 #include "core/context.hpp"
-#include "core/executor.hpp"
 #include "core/stack.hpp"
 #include "core/step_hook.hpp"
 #include "core/trace.hpp"
@@ -29,53 +28,31 @@
 
 namespace samoa {
 
-/// Which dispatch substrate runs computation tasks — the same seam pattern
-/// as GcOptions::detector_impl: every implementation drives identical
-/// controller/trace semantics and every test can run against each.
-enum class DispatchImpl {
-  /// Resolve from the clock: kInline under a virtual clock, kExecutor on
-  /// the wall clock. SAMOA_DISPATCH=pool selects kElasticPool instead on
-  /// either clock; this is how CI runs tier-1 against the threaded path.
-  kAuto,
-  /// Shared elastic pool: one cross-thread handoff per task (pre-PR-8
-  /// behaviour, and the fallback under schedule exploration).
-  kElasticPool,
-  /// Per-microprotocol sharded single-consumer event loops with batched
-  /// drains (core/executor.hpp).
-  kExecutor,
-  /// Run-to-completion on the spawning thread: tasks go to a thread-local
-  /// FIFO that the outermost spawner drains before spawn_isolated returns.
-  /// Async tasks run after the task that issued them (in issue order), and
-  /// a computation spawned from inside a task starts only once the queued
-  /// async work is done. Legal under every controller because a serial
-  /// execution is isolated by definition; see DESIGN.md "Dispatch".
-  kInline,
-};
-
+/// Where computation tasks run is not an option; it follows from the
+/// inputs (see DESIGN.md "Dispatch"). Under a time::VirtualClock with no
+/// step hook every task runs to completion on the spawning thread: tasks go
+/// to a thread-local FIFO that the outermost spawner drains before
+/// spawn_isolated returns. Async tasks run after the task that issued them
+/// (in issue order), and a computation spawned from inside a task starts
+/// only once the queued async work is done — legal under every controller
+/// because a serial execution is isolated by definition. Everywhere else
+/// (the wall clock, or any runtime a schedule explorer drives) tasks run on
+/// the runtime's elastic pool, which grows past a worker parked in a
+/// version gate so runnable work is never starved.
 struct RuntimeOptions {
   CCPolicy policy = CCPolicy::kVCABasic;
   /// Record (event, handler) runs for the isolation checker / diagnostics.
   bool record_trace = false;
-  std::size_t min_threads = 2;
-  std::size_t max_threads = 1024;
   /// Time base. Null means the process wall clock. Under a
   /// time::VirtualClock the runtime holds one activity pin per in-flight
   /// computation, so virtual time stands still while computations run.
   time::ClockSource* clock = nullptr;
   /// Schedule-exploration seam (see core/step_hook.hpp). Null — the
   /// default — costs one pointer test per scheduling point; non-null
-  /// serializes all computation tasks behind the hook's token scheduler.
+  /// serializes all computation tasks behind the hook's token scheduler,
+  /// on the elastic pool on either clock (the token barrier needs every
+  /// submitted task to be independently startable).
   StepHook* step_hook = nullptr;
-  /// Dispatch substrate. A non-null step_hook always forces the
-  /// elastic pool — the explorer's token barrier requires every submitted
-  /// task to be independently schedulable, which a single-consumer shard
-  /// cannot provide (a queued task would "arrive" only after its
-  /// predecessor finishes, deadlocking the barrier). Executor schedules
-  /// are a subset of the explored per-task interleavings, so exploration
-  /// over the pool path covers them; see DESIGN.md "Dispatch".
-  DispatchImpl dispatch_impl = DispatchImpl::kAuto;
-  /// Executor shard/queue tunables (used when the executor is active).
-  ExecutorOptions executor{};
 };
 
 class Runtime {
@@ -115,12 +92,6 @@ class Runtime {
   ConcurrencyController& controller() { return *controller_; }
   CCPolicy policy() const { return opts_.policy; }
 
-  /// The dispatch implementation actually in effect (kAuto and the
-  /// step-hook fallback resolved; never kAuto).
-  DispatchImpl dispatch_impl() const { return dispatch_; }
-  /// Null unless dispatching through the executor.
-  ExecutorGroup* executor_group() { return executors_.get(); }
-
   /// Null when tracing is off.
   TraceRecorder* trace() { return trace_ ? trace_.get() : nullptr; }
 
@@ -139,8 +110,8 @@ class Runtime {
   void on_computation_done(ComputationId id);
   void count_handler_call() { stats_.handler_calls.add(); }
   /// Route an async handler task of computation `comp_id` to the dispatch
-  /// substrate; `owner` is the handler's microprotocol (executor shard key).
-  void submit_handler(MicroprotocolId owner, std::uint64_t comp_id, std::function<void()> fn);
+  /// substrate.
+  void submit_handler(std::uint64_t comp_id, std::function<void()> fn);
 
  private:
   /// Erase `id` from inflight_, waking drain(). Returns whether this call
@@ -152,20 +123,16 @@ class Runtime {
   std::function<void()> root_task(std::shared_ptr<Computation> comp,
                                   std::function<void(Context&)> root, std::uint64_t ticket);
 
-  /// Route a root task to its dispatch substrate: round-robin across
-  /// executor shards (independent computations must be able to overlap;
-  /// the version gates order the conflicting ones — see the
-  /// core/executor.hpp placement comment), the elastic pool, or this
-  /// thread's inline queue.
+  /// Route a root task to the elastic pool or this thread's inline queue.
   void submit_root(std::uint64_t comp_id, std::function<void()> fn);
 
   Stack& stack_;
   RuntimeOptions opts_;
-  DispatchImpl dispatch_;
+  /// Run-to-completion on the spawning thread (see RuntimeOptions).
+  const bool inline_;
   std::unique_ptr<ConcurrencyController> controller_;
   std::unique_ptr<TraceRecorder> trace_;
   ElasticThreadPool pool_;
-  std::unique_ptr<ExecutorGroup> executors_;
 
   IdAllocator<ComputationTag> comp_ids_;
   Stats stats_;

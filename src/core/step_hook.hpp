@@ -40,14 +40,11 @@
 //
 // A null hook (the default) costs one pointer test per call site.
 //
-// Dispatch interaction: a non-null hook forces DispatchImpl::kElasticPool
-// (see RuntimeOptions::dispatch_impl). The controller's token barrier
-// treats every submitted task as independently startable; a
-// single-consumer executor shard serializes queued tasks, so a task
-// "arrives" at the barrier only after its shard predecessor finishes —
-// a structural deadlock. Since executor schedules are a strict subset of
-// the per-task interleavings the explorer enumerates over the pool,
-// exploring on the pool path loses no coverage.
+// Dispatch interaction: a runtime with a non-null hook runs its tasks on
+// the elastic pool on either clock, never inline. The controller's token
+// barrier treats every submitted task as independently startable; an
+// inline queue runs a task only after its predecessor finished, so a task
+// would "arrive" at the barrier too late — a structural deadlock.
 #pragma once
 
 #include <cstdint>

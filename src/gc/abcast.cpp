@@ -6,6 +6,11 @@
 
 namespace samoa::gc {
 
+namespace {
+/// Max messages ordered per consensus instance.
+constexpr std::size_t kMaxBatch = 16;
+}  // namespace
+
 ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View initial_view)
     : GcMicroprotocol("abcast", opts),
       events_(&events),
@@ -92,7 +97,7 @@ void ABcast::maybe_propose(Outbox& out) {
       break;
     }
     batch.push_back(msg);
-    if (batch.size() >= options().abcast_batch) break;
+    if (batch.size() >= kMaxBatch) break;
   }
   if (batch.empty()) return;  // rejoined and nothing self-originated pending
   proposed_.insert(next_instance_);

@@ -36,13 +36,6 @@ struct GcOptions {
   /// is exactly what the view-change experiment demonstrates.
   bool manual_locks = false;
 
-  /// Dispatch substrate of the node's runtime (see
-  /// RuntimeOptions::dispatch_impl). The Section 3 race demo pins
-  /// kElasticPool: reproducing the unsynchronised baseline's interleaving
-  /// needs OS-level overlap of same-microprotocol computations, which the
-  /// executor's per-mp serialization intentionally removes.
-  DispatchImpl dispatch_impl = DispatchImpl::kAuto;
-
   /// Artificial widening of the Section 3 race window: RelComm's
   /// viewChange handler sleeps this long *before* adopting the new view,
   /// so concurrent message processing can observe RelCast(new)/RelComm(old).
@@ -64,25 +57,11 @@ struct GcOptions {
   /// SWIM probe protocol period: one randomized direct probe per period.
   std::chrono::microseconds swim_probe_interval{2000};
   /// Deadline for the direct ack within a period; once it passes, the
-  /// prober falls back to ping-req through `swim_indirect_k` proxies.
+  /// prober falls back to ping-req through proxies (see gc/swim.cpp).
   /// Also the cadence of the SWIM tick (the state machine's resolution).
   std::chrono::microseconds swim_ack_timeout{600};
-  /// Number of proxies asked to probe indirectly before suspecting.
-  std::size_t swim_indirect_k = 3;
-  /// A suspicion stands for this many probe periods before the suspect is
-  /// confirmed faulty (time for an alive refutation to gossip back).
-  std::uint32_t swim_suspect_periods = 3;
-  /// Max membership updates piggybacked on one ping/ack/ping-req.
-  std::size_t swim_piggyback_limit = 8;
-  /// How many times each membership update is piggybacked before it ages
-  /// out of the gossip buffer. 0 = auto: 3 * ceil(log2(view size)), the
-  /// SWIM paper's lambda*log(n) dissemination budget.
-  std::uint32_t swim_gossip_transmissions = 0;
   std::chrono::microseconds cs_retry_interval{5000};
   std::chrono::microseconds cs_retry_timeout{8000};
-
-  /// Max messages ordered per consensus instance.
-  std::size_t abcast_batch = 16;
 
   /// Flow control (paper Section 5 lists "message flow control" as part of
   /// the J-SAMOA implementation): max unacknowledged messages per peer in
@@ -100,10 +79,6 @@ struct GcOptions {
   /// previous incarnation already used — peers would silently drop the new
   /// message as a duplicate.
   std::uint64_t id_epoch = 0;
-
-  /// Least-upper-bound used for every microprotocol when policy is
-  /// VCAbound (generous over-declaration is legal; too small throws).
-  std::uint32_t vca_bound = 256;
 
   /// Marshal every wire message to its binary network format (net/codec)
   /// before it enters the simulated network, and unmarshal on delivery —

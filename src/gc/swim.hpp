@@ -2,14 +2,14 @@
 //
 // Replaces all-to-all heartbeats with constant per-site probe load: every
 // protocol period each site pings one randomized round-robin member; if
-// the direct ack misses its deadline the prober asks k random proxies to
+// the direct ack misses its deadline the prober asks three random proxies to
 // ping-req the target on its behalf, and only when the whole period ends
 // without any ack does the target become *suspected* — a state, not a
 // verdict. A suspicion gossips through the fleet piggybacked on probe
 // traffic; the accused refutes by re-announcing itself alive under a
 // higher self-issued incarnation number, which outranks the suspicion
 // wherever the two race. Suspicions that stand un-refuted for
-// swim_suspect_periods harden into confirmed-faulty, which is what feeds
+// three probe periods harden into confirmed-faulty, which is what feeds
 // the Suspect event into the unchanged consensus/view-change machinery.
 //
 // Dissemination is epidemic: membership updates ride in the spare bytes
@@ -96,7 +96,7 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   // All private helpers assume guard() + snap_mu_ are held.
   void apply_update(const SwimUpdate& u, Clock::time_point now, Outbox& out);
   void enqueue_gossip(SwimUpdate u);
-  /// Drain up to swim_piggyback_limit updates from the gossip buffer
+  /// Drain up to eight updates from the gossip buffer
   /// (freshest-first), decrementing budgets. `refute_hint`: also tell the
   /// addressee what we currently believe about *it* if that is not Alive,
   /// so a suspected/faulty-but-live peer learns it must refute.

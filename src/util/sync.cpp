@@ -6,13 +6,12 @@
 #include "diag/wait_registry.hpp"
 
 // Every actual park below registers a diag::ScopedWait (kExternal). Besides
-// showing up in blocked-state dumps, this is a liveness requirement under
-// executor dispatch: a handler body blocking on one of these primitives
-// parks a single-consumer shard, and only an instrumented wait triggers the
-// consumer-role handoff that keeps the tasks queued behind it runnable
-// (see core/executor.hpp). Nested registration is handled by ScopedWait
-// itself — an already-registered wait (e.g. Computation::wait_done) that
-// parks through OneShotEvent stays a single record.
+// showing up in blocked-state dumps, this keeps the elastic pool live: a
+// handler body blocking on one of these primitives releases its worker's
+// runnable slot, so the pool grows to run the tasks queued behind it.
+// Nested registration is handled by ScopedWait itself — an
+// already-registered wait (e.g. Computation::wait_done) that parks through
+// OneShotEvent stays a single record.
 
 namespace samoa {
 

@@ -28,14 +28,9 @@
 //
 // Idle workers retire after a timeout down to a configurable floor.
 //
-// Role in dispatch (PR 8): computation tasks normally run on the
-// per-microprotocol executor shards (core/executor.hpp); this pool is the
-// runtime-selectable fallback (DispatchImpl::kElasticPool) and the only
-// substrate under schedule exploration. The parked-worker contract above
-// (diag::ScopedWait -> note_worker_parked) is shared with the executor's
-// consumer-role handoff — both implement "a runnable task must never wait
-// on a parked thread", this pool by growing, the executor by re-spawning
-// the shard consumer.
+// Role in dispatch: this pool runs every computation task on the wall
+// clock and under schedule exploration; under a virtual clock the runtime
+// runs tasks inline instead (see core/runtime.hpp).
 #pragma once
 
 #include <condition_variable>

@@ -1,13 +1,9 @@
-// Executor dispatch under adversarial load (PR 8): several spawner
-// threads hammer one runtime with a seeded mix of single-mp, shared-mp
-// and multi-mp computations, sync and async triggers, fan-outs, and
-// handlers that park mid-task. Run under both dispatch substrates so the
-// executor path and the elastic-pool fallback face the same workload; a
-// fail-fast deadlock watchdog turns any shard wedge (the zombie-consumer
-// class of bug) into an immediate abort with a shard-state dump instead
-// of a 300-second ctest timeout. CI runs this under TSan as well — the
-// Vyukov ring's seq protocol and the park/handoff protocol are exactly
-// the code TSan is for.
+// Wall-clock dispatch under adversarial load: several spawner threads
+// hammer one runtime's elastic pool with a seeded mix of single-mp,
+// shared-mp and multi-mp computations, sync and async triggers, fan-outs,
+// and handlers that park mid-task. A fail-fast deadlock watchdog turns any
+// wedge into an immediate abort with a blocked-state dump instead of a
+// 300-second ctest timeout. CI runs this under TSan as well.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,12 +40,12 @@ using testing::ProbeMp;
 constexpr int kSpawnsPerThread = SAMOA_UNDER_TSAN ? 40 : 120;
 constexpr int kSpawnerThreads = 4;
 
-class ExecutorStress : public ::testing::Test {
+class DispatchStress : public ::testing::Test {
  protected:
   void SetUp() override {
     diag::WatchdogOptions opts;
     opts.budget = 60s;
-    opts.name = "executor_stress";
+    opts.name = "dispatch_stress";
     opts.abort_on_stall = true;
     if (const char* dir = std::getenv("SAMOA_WATCHDOG_DIR")) opts.dump_dir = dir;
     dog_ = std::make_unique<diag::DeadlockWatchdog>(std::move(opts));
@@ -80,11 +76,10 @@ struct Workload {
   }
 };
 
-void run_mixed_cell(DispatchImpl impl, std::uint64_t seed) {
+void run_mixed_cell(std::uint64_t seed) {
   Workload w;
   RuntimeOptions opts;
   opts.policy = CCPolicy::kVCABasic;
-  opts.dispatch_impl = impl;
   opts.record_trace = true;
   Runtime rt(w.stack, opts);
 
@@ -117,7 +112,7 @@ void run_mixed_cell(DispatchImpl impl, std::uint64_t seed) {
                 ctx.async_trigger(w.shared_ev);
               });
         } else {
-          // Batched fan-out across three mps' shards.
+          // Async fan-out across three mps.
           h = rt.spawn_isolated(Isolation::basic({w.own[0], w.own[1], w.own[2]}),
                                 [&](Context& ctx) { ctx.async_trigger_all(w.fan_ev); });
         }
@@ -135,36 +130,22 @@ void run_mixed_cell(DispatchImpl impl, std::uint64_t seed) {
   rt.drain();
 
   EXPECT_EQ(spawned.load(), kSpawnerThreads * kSpawnsPerThread);
-  // Isolation must hold regardless of substrate: no mp ever runs two
-  // handlers concurrently.
+  // Isolation must hold: no mp ever runs two handlers concurrently.
   for (ProbeMp* mp : w.own) EXPECT_LE(mp->max_in_flight.load(), 1) << mp->name();
   EXPECT_LE(w.shared->max_in_flight.load(), 1);
   testing::expect_isolated(rt);
-  if (impl == DispatchImpl::kExecutor) {
-    ASSERT_NE(rt.executor_group(), nullptr);
-    EXPECT_GT(rt.controller().stats().exec_dispatched.value(), 0u);
-  } else {
-    EXPECT_EQ(rt.executor_group(), nullptr);
-  }
 }
 
-TEST_F(ExecutorStress, MixedWorkloadExecutorDispatch) {
+TEST_F(DispatchStress, MixedWorkload) {
   const std::uint64_t seed = testing::test_seed(2024);
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  run_mixed_cell(DispatchImpl::kExecutor, seed);
+  run_mixed_cell(seed);
   dog_->kick();
 }
 
-TEST_F(ExecutorStress, MixedWorkloadPoolDispatch) {
-  const std::uint64_t seed = testing::test_seed(2024);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  run_mixed_cell(DispatchImpl::kElasticPool, seed);
-  dog_->kick();
-}
-
-TEST_F(ExecutorStress, BlockingChurnForcesHandoffs) {
-  // Repeatedly park a consumer inside a handler while other computations
-  // keep flowing: the consumer role must hand off and recover every round.
+TEST_F(DispatchStress, BlockingChurnKeepsThePoolLive) {
+  // Repeatedly park a worker inside a handler while other computations
+  // keep flowing: the parked worker's slot must be released every round.
   const std::uint64_t seed = testing::test_seed(7);
   SCOPED_TRACE("seed=" + std::to_string(seed));
   constexpr int kRounds = SAMOA_UNDER_TSAN ? 4 : 10;
@@ -182,7 +163,6 @@ TEST_F(ExecutorStress, BlockingChurnForcesHandoffs) {
   }
   RuntimeOptions opts;
   opts.policy = CCPolicy::kVCABasic;
-  opts.dispatch_impl = DispatchImpl::kExecutor;
   opts.record_trace = true;
   Runtime rt(stack, opts);
   for (int r = 0; r < kRounds; ++r) {
@@ -202,7 +182,6 @@ TEST_F(ExecutorStress, BlockingChurnForcesHandoffs) {
   }
   rt.drain();
   EXPECT_EQ(probe.calls.load(), kRounds * 8);
-  EXPECT_GE(rt.controller().stats().exec_handoffs.value(), static_cast<std::uint64_t>(kRounds));
   testing::expect_isolated(rt);
 }
 

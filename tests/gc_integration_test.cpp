@@ -238,7 +238,12 @@ TEST(GcIntegration, RelCommRetransmitsThroughLoss) {
                         .drop_probability = 0.4},
             /*seed=*/1234);
   c.start();
-  for (int i = 0; i < 5; ++i) c[0].rbcast("r" + std::to_string(i));
+  // Lose the first data packet by construction, whatever the loss draws
+  // and the thread timing: cut 0 -> 1 until r0's computation has sent it.
+  c.net.set_partitioned_oneway(c[0].id(), c[1].id(), true);
+  c[0].rbcast("r0").wait();
+  c.net.set_partitioned_oneway(c[0].id(), c[1].id(), false);
+  for (int i = 1; i < 5; ++i) c[0].rbcast("r" + std::to_string(i));
   EXPECT_TRUE(wait_until(
       [&] { return c[1].sink().rdelivered().size() == 5; },
       std::chrono::milliseconds(30000)))
@@ -264,9 +269,6 @@ std::int64_t discarded_in_race(CCPolicy policy, bool manual_locks,
   opts.policy = policy;
   opts.manual_locks = manual_locks;
   opts.view_change_delay = window;
-  // The unsync baseline's lost-message race needs computations to overlap
-  // at the OS level; the executor's per-mp shards serialize them away.
-  if (policy == CCPolicy::kUnsync) opts.dispatch_impl = DispatchImpl::kElasticPool;
   Cluster c(4, opts);
   c.start(3);
 
