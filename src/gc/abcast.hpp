@@ -1,8 +1,11 @@
 // Atomic broadcast on top of reliable broadcast + consensus.
 //
-// Submitted messages are disseminated with RelCast (so every site
-// eventually buffers the payload) while consensus instances agree, slot by
-// slot, on the batch of message ids delivered next. All sites deliver the
+// Submitted messages are disseminated with RelCast (the origin sends to
+// every member; RelCast does not relay ABcast payloads) while consensus
+// instances agree, slot by slot, on the batch delivered next. A decided
+// batch carries the payloads themselves, so a site the origin never
+// reached still delivers them: agreement comes from consensus, not from
+// the dissemination. All sites deliver the
 // same batches in the same slot order, and batches are sorted by message
 // id — total order. Decisions arriving out of slot order are buffered
 // until the gap closes.
@@ -51,11 +54,12 @@ class ABcast : public GcMicroprotocol {
   std::unordered_set<std::uint64_t> proposed_;    // instances we proposed for
   std::map<std::uint64_t, ConsensusValue> decisions_;  // out-of-order buffer
   // Set by on_catchup (rejoin): this incarnation only proposes messages it
-  // originated itself. RelCast rebroadcasts can hand a rejoined site
-  // payloads the group already delivered before its join; a fresh
-  // delivered_ids_ cannot recognise them, and proposing one would deliver
-  // it here while every peer dedup-skips it — a virtual-synchrony
-  // violation. Peers that held the message legitimately propose it.
+  // originated itself. A live origin whose view still lists the restarted
+  // site sends (and RelComm retransmits) payloads to it that the group
+  // already delivered before its join; a fresh delivered_ids_ cannot
+  // recognise them, and proposing one would deliver it here while every
+  // peer dedup-skips it — a virtual-synchrony violation. Peers that held
+  // the message legitimately propose it.
   bool rejoined_ = false;
   Counter submitted_;
   Counter delivered_count_;

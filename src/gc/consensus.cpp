@@ -1,5 +1,7 @@
 #include "gc/consensus.hpp"
 
+#include <algorithm>
+
 #include "gc/wire.hpp"
 
 namespace samoa::gc {
@@ -15,8 +17,9 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     {
       auto lock = guard();
       const auto& req = m.as<CsPropose>();
-      Instance& inst = instance(req.instance);
-      if (inst.decided || inst.have_proposal) return;
+      if (decision(req.instance) != nullptr) return;
+      Instance& inst = instances_[req.instance];
+      if (inst.have_proposal) return;
       inst.have_proposal = true;
       inst.proposal = req.value;
       inst.last_activity = options().now();
@@ -56,8 +59,7 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
       auto lock = guard();
       const SiteId suspected = m.as<SiteId>();
       for (auto& [i, inst] : instances_) {
-        if (inst.decided || !inst.have_proposal) continue;
-        if (view_.size() == 0) continue;
+        if (!inst.have_proposal || view_.size() == 0) continue;
         const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
         if (coord == suspected) {
           ++inst.attempt;
@@ -74,7 +76,7 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
       auto lock = guard();
       const auto now = options().now();
       for (auto& [i, inst] : instances_) {
-        if (inst.decided || !inst.have_proposal) continue;
+        if (!inst.have_proposal) continue;
         if (now - inst.last_activity < options().cs_retry_timeout) continue;
         // Stuck: either our own round's messages were lost, or a remote
         // coordinator stalled. Advance the attempt and retry.
@@ -90,15 +92,9 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
       // has moved past it. See set_frontier_source in the header.
       if (frontier_source_) {
         const std::uint64_t want = frontier_source_();
-        const auto fit = instances_.find(want);
-        if (fit == instances_.end() || !fit->second.decided) {
-          for (const auto& [i, inst] : instances_) {
-            if (i > want && inst.decided) {
-              decision_pulls_.add();
-              broadcast(out, Wire{CsPrepare{want, 0}});
-              break;
-            }
-          }
+        if (max_decided_ > want && decision(want) == nullptr) {
+          decision_pulls_.add();
+          broadcast(out, Wire{CsPrepare{want, 0}});
         }
       }
     }
@@ -111,7 +107,10 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
   });
 }
 
-Consensus::Instance& Consensus::instance(std::uint64_t i) { return instances_[i]; }
+const ConsensusValue* Consensus::decision(std::uint64_t i) const {
+  const auto it = decided_.find(i);
+  return it == decided_.end() ? nullptr : &it->second;
+}
 
 void Consensus::broadcast(Outbox& out, const Wire& wire) {
   for (SiteId site : view_.members()) {
@@ -124,8 +123,8 @@ void Consensus::to(Outbox& out, SiteId site, const Wire& wire) {
 }
 
 void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
-  Instance& inst = instance(i);
-  if (inst.decided || !inst.have_proposal || view_.size() == 0) return;
+  Instance& inst = instances_[i];
+  if (!inst.have_proposal || view_.size() == 0) return;
   const SiteId coord = view_.member_at(static_cast<std::size_t>(i + inst.attempt));
   if (coord != self_) return;
   inst.my_round = (inst.attempt + 1) * kRoundStride + self_.value() + 1;
@@ -138,13 +137,13 @@ void Consensus::try_coordinate(Outbox& out, std::uint64_t i) {
 }
 
 void Consensus::handle_prepare(Outbox& out, SiteId from, const CsPrepare& p) {
-  Instance& inst = instance(p.instance);
-  if (inst.decided) {
+  if (const ConsensusValue* d = decision(p.instance)) {
     // Help a lagging coordinator (or answer a round-0 decision pull):
     // re-send the decision instead of playing another round.
-    to(out, from, Wire{CsDecide{p.instance, inst.accepted_value.value_or(ConsensusValue{})}});
+    to(out, from, Wire{CsDecide{p.instance, *d}});
     return;
   }
+  Instance& inst = instances_[p.instance];
   // Stale rounds — including round-0 pull probes — must not count as
   // activity, or periodic probes would forever suppress the retry timer.
   if (p.round <= inst.promised) return;
@@ -155,8 +154,10 @@ void Consensus::handle_prepare(Outbox& out, SiteId from, const CsPrepare& p) {
 }
 
 void Consensus::handle_promise(Outbox& out, SiteId from, const CsPromise& p) {
-  Instance& inst = instance(p.instance);
-  if (inst.decided || inst.phase2 || p.round != inst.my_round) return;
+  const auto it = instances_.find(p.instance);
+  if (it == instances_.end()) return;  // decided, or never coordinated here
+  Instance& inst = it->second;
+  if (inst.phase2 || p.round != inst.my_round) return;
   inst.promises.emplace(from, p);
   if (inst.promises.size() < view_.majority()) return;
   // Phase 2: adopt the value of the highest accepted round, if any.
@@ -175,12 +176,12 @@ void Consensus::handle_promise(Outbox& out, SiteId from, const CsPromise& p) {
 }
 
 void Consensus::handle_accept(Outbox& out, SiteId from, const CsAccept& a) {
-  Instance& inst = instance(a.instance);
-  inst.last_activity = options().now();
-  if (inst.decided) {
-    to(out, from, Wire{CsDecide{a.instance, inst.accepted_value.value_or(ConsensusValue{})}});
+  if (const ConsensusValue* d = decision(a.instance)) {
+    to(out, from, Wire{CsDecide{a.instance, *d}});
     return;
   }
+  Instance& inst = instances_[a.instance];
+  inst.last_activity = options().now();
   if (a.round < inst.promised) return;
   inst.promised = a.round;
   inst.accepted_round = a.round;
@@ -189,8 +190,10 @@ void Consensus::handle_accept(Outbox& out, SiteId from, const CsAccept& a) {
 }
 
 void Consensus::handle_accepted(Outbox& out, SiteId from, const CsAccepted& a) {
-  Instance& inst = instance(a.instance);
-  if (inst.decided || !inst.phase2 || a.round != inst.my_round) return;
+  const auto it = instances_.find(a.instance);
+  if (it == instances_.end()) return;  // decided, or never coordinated here
+  Instance& inst = it->second;
+  if (!inst.phase2 || a.round != inst.my_round) return;
   inst.accepted_from.insert(from);
   if (inst.accepted_from.size() < view_.majority()) return;
   broadcast(out, Wire{CsDecide{a.instance, inst.chosen}});
@@ -198,16 +201,12 @@ void Consensus::handle_accepted(Outbox& out, SiteId from, const CsAccepted& a) {
 }
 
 void Consensus::handle_decide(Outbox& out, const CsDecide& d) {
-  Instance& inst = instance(d.instance);
-  if (inst.decided) return;
-  inst.decided = true;
-  inst.accepted_value = d.value;
-  // Every later message for a decided instance is answered from
-  // accepted_value alone; the proposer state is dead weight from here on.
-  inst.proposal = {};
-  inst.chosen = {};
-  inst.promises = {};
-  inst.accepted_from = {};
+  if (!decided_.emplace(d.instance, d.value).second) return;
+  // Every later message for a decided instance is answered from the
+  // decision alone; the instance's proposer and acceptor state is dead
+  // weight from here on.
+  instances_.erase(d.instance);
+  max_decided_ = std::max(max_decided_, d.instance);
   decided_count_.add();
   out.trigger(events_->cs_decided, Message::of(CsDecided{d.instance, d.value}));
 }

@@ -74,11 +74,10 @@ class Consensus : public GcMicroprotocol {
     std::set<SiteId> accepted_from;
     ConsensusValue chosen;
     Clock::time_point last_activity{};
-    // Learner state.
-    bool decided = false;
   };
 
-  Instance& instance(std::uint64_t i);
+  /// The decision of instance i, or null while i is undecided here.
+  const ConsensusValue* decision(std::uint64_t i) const;
   void try_coordinate(Outbox& out, std::uint64_t i);
   void broadcast(Outbox& out, const Wire& wire);
   void to(Outbox& out, SiteId site, const Wire& wire);
@@ -92,7 +91,12 @@ class Consensus : public GcMicroprotocol {
   const GcEvents* events_;
   SiteId self_;
   View view_;
+  // Undecided instances only: a decision moves the value to decided_ and
+  // drops the proposer and acceptor state, so the retry and suspect scans
+  // touch live instances, not every instance ever run.
   std::unordered_map<std::uint64_t, Instance> instances_;
+  std::unordered_map<std::uint64_t, ConsensusValue> decided_;
+  std::uint64_t max_decided_ = 0;  // highest instance in decided_ (0: none)
   Counter decided_count_;
   Counter rounds_started_;
   Counter decision_pulls_;

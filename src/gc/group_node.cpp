@@ -28,12 +28,9 @@ DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents&)
     char op;
     SiteId site;
     if (Membership::decode_op(del.m.data, op, site)) return;  // membership-internal
+    const std::uint64_t view = view_source_ ? view_source_() : 0;
     std::unique_lock snap(mu_);
-    adelivered_.push_back(del.m);
-    if (view_source_) {
-      records_.push_back(verify::DeliveryRecord{del.m.id, view_source_(), del.next_ordinal - 1,
-                                                del.m.data});
-    }
+    records_.push_back(verify::DeliveryRecord{del.m.id, view, del.next_ordinal - 1, del.m.data});
   });
 }
 
@@ -44,7 +41,10 @@ std::vector<AppMessage> DeliverSink::rdelivered() {
 
 std::vector<AppMessage> DeliverSink::adelivered() {
   std::unique_lock snap(mu_);
-  return adelivered_;
+  std::vector<AppMessage> out;
+  out.reserve(records_.size());
+  for (const auto& r : records_) out.push_back(AppMessage{r.id, r.data, /*atomic=*/true});
+  return out;
 }
 
 std::vector<std::string> DeliverSink::cdelivered() {

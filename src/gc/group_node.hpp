@@ -56,7 +56,7 @@ class DeliverSink : public GcMicroprotocol {
   std::vector<std::string> cdelivered();
 
   /// Provider of the current view id stamped on delivery records (wired
-  /// by GroupNode to the membership view; unset disables recording).
+  /// by GroupNode to the membership view; unset stamps view 0).
   void set_view_source(std::function<std::uint64_t()> source) {
     view_source_ = std::move(source);
   }
@@ -67,8 +67,8 @@ class DeliverSink : public GcMicroprotocol {
  private:
   mutable std::mutex mu_;
   std::vector<AppMessage> rdelivered_;
-  std::vector<AppMessage> adelivered_;
   std::vector<std::string> cdelivered_;
+  // Atomic deliveries, kept once: adelivered() is built from these.
   std::vector<verify::DeliveryRecord> records_;
   std::function<std::uint64_t()> view_source_;
   const Handler* on_rdeliver_ = nullptr;

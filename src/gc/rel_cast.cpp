@@ -27,13 +27,17 @@ RelCast::RelCast(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
     {
       auto lock = guard();
       const auto& msg = m.as<AppMessage>();
-      if (!seen_.insert(msg.id).second) return;  // not a new message
-      // Rebroadcast first (all-or-nothing even if the origin crashed),
-      // then deliver locally.
-      for (SiteId site : view_.members()) {
-        out.trigger(events.send_out, Message::of(SendReq{msg, site}));
+      // Consensus carries ABcast payloads to every survivor, so they skip
+      // the relay and the dedup mark (see the header).
+      if (!is_consensus_channel(msg.id)) {
+        if (!seen_.insert(msg.id).second) return;  // not a new message
+        // Rebroadcast first (all-or-nothing even if the origin crashed),
+        // then deliver locally.
+        for (SiteId site : view_.members()) {
+          out.trigger(events.send_out, Message::of(SendReq{msg, site}));
+        }
+        broadcasts_.add();
       }
-      broadcasts_.add();
       out.async_trigger_all(events.deliver_out, Message::of(msg));
     }
     out.flush(ctx);

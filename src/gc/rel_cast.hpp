@@ -7,6 +7,18 @@
 //
 // The recv-side rebroadcast guarantees all-or-nothing delivery within the
 // view even if the original sender crashes mid-broadcast.
+//
+// Deviation: consensus-channel messages (ABcast payloads,
+// `is_consensus_channel`) are passed up without the rebroadcast and without
+// a dedup mark. Consensus already gives them all-or-nothing delivery: a
+// message is adelivered only as part of a decided batch, and ACCEPT and
+// DECIDE carry the whole batch (the decision pull heals a lost DECIDE), so
+// every survivor learns it from consensus. A live origin's RelComm
+// retransmits the message until every member of its view holds it, and the
+// origin proposes it itself. The relay would cost n broadcasts of n sends
+// per message for nothing. ABcast dedups by id, so a repeated copy is
+// harmless. The plain, causal and sequencer channels keep the relay: no
+// consensus carries their payloads.
 #pragma once
 
 #include <unordered_set>
@@ -32,7 +44,7 @@ class RelCast : public GcMicroprotocol {
  private:
   SiteId self_;
   View view_;
-  std::unordered_set<MsgId> seen_;
+  std::unordered_set<MsgId> seen_;  // relayed channels only
   Counter broadcasts_;
   mutable std::mutex snap_mu_;
 

@@ -12,8 +12,11 @@ constexpr std::size_t kIndirectProxies = 3;
 /// A suspicion stands for this many probe periods before the suspect is
 /// confirmed faulty (time for an alive refutation to gossip back).
 constexpr std::uint32_t kSuspectPeriods = 3;
-/// Max membership updates piggybacked on one ping/ack/ping-req.
-constexpr std::size_t kPiggybackLimit = 8;
+/// Max membership updates piggybacked on one ping/ack/ping-req. SWIM
+/// bounds the piggyback by datagram size; 32 updates of a few bytes each
+/// fit one, and a mass crash puts one fresh suspicion per crashed site in
+/// every buffer.
+constexpr std::size_t kPiggybackLimit = 32;
 
 /// ceil(log2(n)) for n >= 1 (0 for n <= 1).
 std::uint32_t log2_ceil(std::uint64_t n) {
@@ -100,11 +103,13 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
       // stays a member (and stays probed) until the view-change machinery
       // evicts it — which is also what lets a partitioned-but-live peer
       // resurrect itself with a higher incarnation after the link heals.
+      // The hardening is not gossiped: every site that heard the
+      // suspicion hardens it on its own clock, and n such fresh rumors per
+      // crash would starve the crash suspicions under freshest-first.
       for (auto& [site, member] : members_) {
         if (member.status == SwimStatus::kSuspect && now >= member.suspect_expiry) {
           member.status = SwimStatus::kFaulty;
           confirmations_.add();
-          enqueue_gossip({SwimStatus::kFaulty, site, member.incarnation});
         }
       }
       // 2. Expire relay slots whose acks never came.
@@ -208,6 +213,12 @@ void SwimDetector::apply_update(const SwimUpdate& u, Clock::time_point now, Outb
       // and a healed partition must be able to un-declare its victims.
       if (u.incarnation > m.incarnation) {
         if (m.status != SwimStatus::kAlive) revocations_.add();
+        // A refutation can outlive its issuer: an accused site refutes and
+        // then crashes, and the revival would hide the crash until the
+        // round-robin order next reaches it. If we raised the overridden
+        // suspicion ourselves, probe the site next, once.
+        if (m.suspected_here) reprobe_.push_back(u.site);
+        m.suspected_here = false;
         m.status = SwimStatus::kAlive;
         m.incarnation = u.incarnation;
         changed = true;
@@ -283,6 +294,7 @@ void SwimDetector::suspect_locally(SiteId site, Clock::time_point now, Outbox& o
   auto it = members_.find(site);
   if (it == members_.end() || it->second.status != SwimStatus::kAlive) return;
   it->second.status = SwimStatus::kSuspect;
+  it->second.suspected_here = true;
   it->second.suspect_expiry = suspect_deadline(now);
   suspicions_.add();
   enqueue_gossip({SwimStatus::kSuspect, site, it->second.incarnation});
@@ -290,6 +302,11 @@ void SwimDetector::suspect_locally(SiteId site, Clock::time_point now, Outbox& o
 }
 
 std::optional<SiteId> SwimDetector::next_probe_target() {
+  while (!reprobe_.empty()) {
+    const SiteId site = reprobe_.front();
+    reprobe_.erase(reprobe_.begin());
+    if (members_.contains(site)) return site;
+  }
   if (probe_order_.empty()) return std::nullopt;
   for (std::size_t scanned = 0; scanned <= probe_order_.size(); ++scanned) {
     if (probe_index_ >= probe_order_.size()) {

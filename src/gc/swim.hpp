@@ -9,8 +9,11 @@
 // traffic; the accused refutes by re-announcing itself alive under a
 // higher self-issued incarnation number, which outranks the suspicion
 // wherever the two race. Suspicions that stand un-refuted for
-// three probe periods harden into confirmed-faulty, which is what feeds
-// the Suspect event into the unchanged consensus/view-change machinery.
+// three probe periods harden into confirmed-faulty, each site on its own
+// clock (the hardening is not gossiped). The first suspicion feeds the
+// Suspect event into the unchanged consensus/view-change machinery. When
+// a refutation overrides a suspicion this site raised itself, the site
+// re-probes the refuter next: an accused site may refute and then crash.
 //
 // Dissemination is epidemic: membership updates ride in the spare bytes
 // of pings/acks/ping-reqs, each update retransmitted ~3*log2(n) times
@@ -69,6 +72,7 @@ class SwimDetector : public GcMicroprotocol, public Detector {
     SwimStatus status = SwimStatus::kAlive;
     std::uint64_t incarnation = 0;
     Clock::time_point suspect_expiry{};
+    bool suspected_here = false;  // this site's own probe raised the suspicion
   };
   /// A buffered membership update with its remaining transmit budget.
   struct Gossip {
@@ -96,7 +100,7 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   // All private helpers assume guard() + snap_mu_ are held.
   void apply_update(const SwimUpdate& u, Clock::time_point now, Outbox& out);
   void enqueue_gossip(SwimUpdate u);
-  /// Drain up to eight updates from the gossip buffer
+  /// Drain up to kPiggybackLimit updates from the gossip buffer
   /// (freshest-first), decrementing budgets. `refute_hint`: also tell the
   /// addressee what we currently believe about *it* if that is not Alive,
   /// so a suspected/faulty-but-live peer learns it must refute.
@@ -115,6 +119,7 @@ class SwimDetector : public GcMicroprotocol, public Detector {
   Outstanding probe_;
   std::unordered_map<std::uint64_t, Relay> relays_;
   std::vector<SiteId> probe_order_;
+  std::vector<SiteId> reprobe_;  // probed before the round-robin order, once each
   std::size_t probe_index_ = 0;
   std::uint64_t next_seq_ = 1;
   Clock::time_point next_period_{};

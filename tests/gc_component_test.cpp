@@ -177,6 +177,23 @@ TEST(RelCastComponent, EveryMemberRebroadcastsOnce) {
   EXPECT_EQ(broadcasts, 4u);
 }
 
+TEST(RelCastComponent, ConsensusChannelIsNotRelayed) {
+  // ABcast payloads are ordered by consensus, whose ACCEPT and DECIDE carry
+  // the whole batch: the origin's bcast is the only broadcast.
+  Pair p(GcOptions{}, LinkOptions{.base_latency = std::chrono::microseconds(80)}, 3);
+  p.nodes[0]->abcast("ordered");
+  ASSERT_TRUE(wait_until([&] {
+    for (auto& n : p.nodes) {
+      if (n->sink().adelivered().size() != 1) return false;
+    }
+    return true;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::uint64_t broadcasts = 0;
+  for (auto& n : p.nodes) broadcasts += n->rel_cast().broadcasts();
+  EXPECT_EQ(broadcasts, 1u);
+}
+
 TEST(ABcastComponent, BatchesRespectMsgIdOrder) {
   // Burst from one site: decided batches are sorted by MsgId, so the
   // delivery order must equal submission order for a single origin.

@@ -9,6 +9,7 @@
 
 #include "gc/group_node.hpp"
 #include "verify/checker.hpp"
+#include "verify/vs_checker.hpp"
 
 namespace samoa::gc {
 namespace {
@@ -227,6 +228,40 @@ TEST(GcIntegration, AbcastSurvivesNonCoordinatorCrash) {
       },
       std::chrono::milliseconds(30000)))
       << "abcast did not decide despite a live majority";
+}
+
+TEST(GcIntegration, AbcastFromCrashedOriginIsAllOrNothing) {
+  // RelCast does not relay ABcast payloads, so a member the origin never
+  // reached can learn the message only from consensus. Cut the origin off
+  // from one member, abcast, and crash the origin: the survivors must
+  // deliver the message everywhere or nowhere.
+  Cluster c(4);
+  c.start();
+  GroupNode& origin = c[3];
+  c.net.set_partitioned(origin.id(), c[2].id(), true);
+  origin.abcast("orphan").wait();
+  // Long enough for the 100us links to hand the payload to nodes 0 and 1.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  origin.crash();
+  c[0].abcast("after");
+  ASSERT_TRUE(wait_until([&] {
+    for (int i = 0; i < 3; ++i) {
+      const auto got = c[i].sink().adelivered();
+      if (std::none_of(got.begin(), got.end(),
+                       [](const AppMessage& m) { return m.data == "after"; })) {
+        return false;
+      }
+    }
+    return true;
+  })) << "survivors never delivered a message sent after the crash";
+  const auto reference = c[0].sink().adelivered();
+  for (int i = 1; i < 3; ++i) EXPECT_EQ(c[i].sink().adelivered(), reference) << "site " << i;
+  std::vector<verify::IncarnationTrace> traces;
+  for (auto& n : c.nodes) {
+    for (auto& t : n->vs_traces()) traces.push_back(std::move(t));
+  }
+  const auto report = verify::check_virtual_synchrony(traces);
+  EXPECT_TRUE(report.ok()) << report.describe();
 }
 
 TEST(GcIntegration, RelCommRetransmitsThroughLoss) {

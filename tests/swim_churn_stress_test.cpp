@@ -9,8 +9,10 @@
 // assertion-level failure the chaos log, detector counters and vs_checker
 // report are written to SAMOA_WATCHDOG_DIR for CI artifact upload.
 //
-// Scale knobs: SAMOA_CHURN_SITES overrides the fleet size (the nightly CI
-// sweep sets 200; tier-1 and TSan run 120).
+// Scale knobs: SAMOA_CHURN_SITES overrides the fleet size of the main cell
+// (the nightly CI sweep sets 200; tier-1 and TSan run 120). A second,
+// parameterized cell sweeps 20-100 sites at the same pinned seed, so
+// detection completeness is held across fleet sizes, not at one point.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -98,60 +100,77 @@ class SwimChurnStress : public ::testing::Test {
   }
   void TearDown() override { dog_.reset(); }
 
+  // One churn cell at the pinned seed: convergence, a clean vs_checker
+  // and every crash detected inside the detect window.
+  void run_cell(int sites) {
+    testing::ChurnConfig cfg;
+    cfg.sites = sites;
+    cfg.seed = 20260809;
+    cfg.detector = DetectorImpl::kSwim;
+    // Bigger fleet => longer dissemination tail before every crashed site
+    // is known at the observer: ~log2(n) epidemic rounds per rumor, but
+    // n/10 simultaneous rumors compete for the per-message piggyback cap
+    // (and 1% of carriers drop), so the slowest of the batch needs
+    // linear-ish headroom. 30ms was not enough for 20 parallel rumors at
+    // 200 sites.
+    if (cfg.sites > 120) {
+      cfg.detect_window = std::chrono::microseconds(20'000 + 200L * cfg.sites);
+    }
+    cfg.horizon = churn_horizon();
+
+    const auto out = testing::run_churn_fleet(cfg);
+    if (!out.converged || !out.vs.ok()) dump_failure_report(cfg, out);
+
+    ASSERT_TRUE(out.converged) << "churn fleet never converged (sites=" << cfg.sites << ")";
+    ASSERT_TRUE(out.vs.ok()) << out.vs.describe();
+    dog_->kick();
+
+    // The detector earned its keep: the mass crash was noticed quickly and
+    // fully inside the detect window, churn produced suspicions, and the
+    // healed island refuted instead of staying confirmed-faulty.
+    EXPECT_GE(out.first_suspicion_us, 30000);
+    EXPECT_GT(out.all_suspected_us, 0);
+    EXPECT_GT(out.suspicions, 0u);
+    EXPECT_GT(out.refutations, 0u);
+    EXPECT_GT(out.revocations, 0u);
+    EXPECT_GT(out.updates_piggybacked, 0u);
+
+    RecordProperty("sites", cfg.sites);
+    RecordProperty("first_suspicion_us", static_cast<int>(out.first_suspicion_us));
+    RecordProperty("all_suspected_us", static_cast<int>(out.all_suspected_us));
+    RecordProperty("false_positive_pairs", static_cast<int>(out.false_positive_pairs));
+    RecordProperty("net_sent", static_cast<int>(out.net_sent));
+    std::printf(
+        "sites=%d converged_at_us=%ld detect(first/all)=%ld/%ld us after crash "
+        "fp_pairs=%llu suspicions=%llu revocations=%llu refutations=%llu "
+        "probes=%llu ping_reqs=%llu piggybacked=%llu net_sent=%llu\n",
+        cfg.sites, out.converged_at_us, out.first_suspicion_us - 30000,
+        out.all_suspected_us - 30000, static_cast<unsigned long long>(out.false_positive_pairs),
+        static_cast<unsigned long long>(out.suspicions),
+        static_cast<unsigned long long>(out.revocations),
+        static_cast<unsigned long long>(out.refutations),
+        static_cast<unsigned long long>(out.probes_sent),
+        static_cast<unsigned long long>(out.ping_reqs_sent),
+        static_cast<unsigned long long>(out.updates_piggybacked),
+        static_cast<unsigned long long>(out.net_sent));
+  }
+
   std::unique_ptr<diag::DeadlockWatchdog> dog_;
 };
 
-TEST_F(SwimChurnStress, MassCrashFlapsAndPartitionConverge) {
-  testing::ChurnConfig cfg;
-  cfg.sites = churn_sites();
-  cfg.seed = 20260809;
-  cfg.detector = DetectorImpl::kSwim;
-  // Bigger fleet => longer dissemination tail before every crashed site is
-  // known at the observer: ~log2(n) epidemic rounds per rumor, but n/10
-  // simultaneous rumors compete for the per-message piggyback cap (and 1%
-  // of carriers drop), so the slowest of the batch needs linear-ish
-  // headroom. 30ms was not enough for 20 parallel rumors at 200 sites.
-  if (cfg.sites > 120) {
-    cfg.detect_window = std::chrono::microseconds(20'000 + 200L * cfg.sites);
-  }
-  cfg.horizon = churn_horizon();
+TEST_F(SwimChurnStress, MassCrashFlapsAndPartitionConverge) { run_cell(churn_sites()); }
 
-  const auto out = testing::run_churn_fleet(cfg);
-  if (!out.converged || !out.vs.ok()) dump_failure_report(cfg, out);
+// The fleet-size sweep: the same scenario and seed at 20, 30, ..., 100
+// sites.
+class SwimChurnStressSweep : public SwimChurnStress,
+                             public ::testing::WithParamInterface<int> {};
 
-  ASSERT_TRUE(out.converged) << "churn fleet never converged (sites=" << cfg.sites << ")";
-  ASSERT_TRUE(out.vs.ok()) << out.vs.describe();
-  dog_->kick();
+TEST_P(SwimChurnStressSweep, PinnedSeedDetectsEveryCrash) { run_cell(GetParam()); }
 
-  // The detector earned its keep: the mass crash was noticed quickly and
-  // fully inside the detect window, churn produced suspicions, and the
-  // healed island refuted instead of staying confirmed-faulty.
-  EXPECT_GE(out.first_suspicion_us, 30000);
-  EXPECT_GT(out.all_suspected_us, 0);
-  EXPECT_GT(out.suspicions, 0u);
-  EXPECT_GT(out.refutations, 0u);
-  EXPECT_GT(out.revocations, 0u);
-  EXPECT_GT(out.updates_piggybacked, 0u);
-
-  RecordProperty("sites", cfg.sites);
-  RecordProperty("first_suspicion_us", static_cast<int>(out.first_suspicion_us));
-  RecordProperty("all_suspected_us", static_cast<int>(out.all_suspected_us));
-  RecordProperty("false_positive_pairs", static_cast<int>(out.false_positive_pairs));
-  RecordProperty("net_sent", static_cast<int>(out.net_sent));
-  std::printf(
-      "sites=%d converged_at_us=%ld detect(first/all)=%ld/%ld us after crash "
-      "fp_pairs=%llu suspicions=%llu revocations=%llu refutations=%llu "
-      "probes=%llu ping_reqs=%llu piggybacked=%llu net_sent=%llu\n",
-      cfg.sites, out.converged_at_us, out.first_suspicion_us - 30000, out.all_suspected_us - 30000,
-      static_cast<unsigned long long>(out.false_positive_pairs),
-      static_cast<unsigned long long>(out.suspicions),
-      static_cast<unsigned long long>(out.revocations),
-      static_cast<unsigned long long>(out.refutations),
-      static_cast<unsigned long long>(out.probes_sent),
-      static_cast<unsigned long long>(out.ping_reqs_sent),
-      static_cast<unsigned long long>(out.updates_piggybacked),
-      static_cast<unsigned long long>(out.net_sent));
-}
+INSTANTIATE_TEST_SUITE_P(FleetSizes, SwimChurnStressSweep, ::testing::Range(20, 101, 10),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "sites" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace samoa::gc
