@@ -43,10 +43,10 @@ struct JoinLeave {
 
 /// Total-order delivery handed to Membership and the application sink.
 /// `next_ordinal` is the ordering position right after this message's
-/// (consensus slot + 1 / sequencer seq + 1): when the message is a join
-/// op, that is exactly the catch-up floor Membership must ship to the
-/// joining site — and unlike the deliverer's own ordering cursor it is
-/// identical at every member, whatever else each one has buffered.
+/// (consensus slot + 1): when the message is a join op, that is exactly
+/// the catch-up floor Membership must ship to the joining site — and
+/// unlike the deliverer's own ordering cursor it is identical at every
+/// member, whatever else each one has buffered.
 struct ADelivery {
   AppMessage m;
   std::uint64_t next_ordinal = 0;
@@ -65,7 +65,7 @@ struct GcEvents {
   EventType fd_check_tick{"tick.FdCheck"};
   EventType swim_tick{"tick.SwimProbe"};
   EventType cs_retry_tick{"tick.CsRetry"};
-  EventType api_abcast{"api.ABcast"};
+  EventType api_abcast{"api.ABcast"};  // -> ABcast.submit (also Membership.joinleave)
   EventType api_rbcast{"api.Bcast"};
   EventType api_ccast{"api.CCast"};
   EventType api_joinleave{"api.JoinLeave"};
@@ -82,16 +82,10 @@ struct GcEvents {
   EventType cs_propose{"CsPropose"};      // -> Consensus.propose
   EventType cs_decided{"CsDecided"};      // -> ABcast.on_decide
   EventType transport_send{"Transport"};  // -> Transport.send
-  // Rejoin catch-up floors extracted from a received ViewInstall: the
-  // ordering layers fast-forward their delivery cursors so the rejoined
-  // site continues the total order instead of replaying or stalling.
+  // Rejoin catch-up floor extracted from a received ViewInstall: ABcast
+  // fast-forwards its delivery cursor so the rejoined site continues the
+  // total order instead of replaying or stalling.
   EventType abcast_catchup{"ABcastCatchup"};  // -> ABcast.on_catchup
-  EventType seq_catchup{"SeqCatchup"};        // -> SeqABcast.on_catchup
-  /// Membership operations are always ordered by the consensus-based
-  /// ABcast, even when application messages use the sequencer
-  /// implementation — a crashed sequencer cannot be evicted through an
-  /// ordering service it is itself the single point of failure of.
-  EventType membership_abcast{"MembershipABcast"};
 };
 
 }  // namespace samoa::gc

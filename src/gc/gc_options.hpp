@@ -9,12 +9,6 @@
 
 namespace samoa::gc {
 
-/// Which total-order broadcast implementation a GroupNode runs.
-enum class ABcastImpl {
-  kConsensus,  // one Paxos-style consensus instance per batch (default)
-  kSequencer,  // fixed sequencer with takeover on view change
-};
-
 /// Which failure detector feeds the suspect/view-change machinery.
 enum class DetectorImpl {
   kHeartbeat,  // all-to-all heartbeats, O(n^2) messages per interval
@@ -23,8 +17,6 @@ enum class DetectorImpl {
 
 struct GcOptions {
   CCPolicy policy = CCPolicy::kVCABasic;
-
-  ABcastImpl abcast_impl = ABcastImpl::kConsensus;
 
   /// Record the node runtime's trace (for the isolation checker).
   bool record_trace = false;

@@ -11,8 +11,8 @@ DeliverSink::DeliverSink(const GcOptions& opts, const GcEvents&)
     auto lock = guard();
     const auto& msg = m.as<AppMessage>();
     if (msg.atomic) return;  // atomic payloads are delivered via ADeliver
-    // Control payloads (causal headers, sequencer order announcements)
-    // share the 0x01 prefix byte and are not application messages.
+    // Causal headers carry the 0x01 prefix byte and are not application
+    // messages (CausalCast delivers their payloads through CDeliver).
     if (!msg.data.empty() && msg.data[0] == '\x01') return;
     std::unique_lock snap(mu_);
     rdelivered_.push_back(msg);
@@ -73,12 +73,14 @@ void GroupNode::build_stack() {
   transport_ = &stack_->emplace<Transport>(opts_, events_, net_, self_);
   relcomm_ = &stack_->emplace<RelComm>(opts_, events_, self_, empty);
   relcast_ = &stack_->emplace<RelCast>(opts_, events_, self_, empty);
-  fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty);
-  swim_ = &stack_->emplace<SwimDetector>(opts_, events_, self_, empty);
+  if (opts_.detector_impl == DetectorImpl::kSwim) {
+    detector_ = swim_ = &stack_->emplace<SwimDetector>(opts_, events_, self_, empty);
+  } else {
+    detector_ = fd_ = &stack_->emplace<FailureDetector>(opts_, events_, self_, empty);
+  }
   consensus_ = &stack_->emplace<Consensus>(opts_, events_, self_, empty);
   abcast_ = &stack_->emplace<ABcast>(opts_, events_, self_, empty);
   causal_ = &stack_->emplace<CausalCast>(opts_, events_, self_, empty);
-  seq_abcast_ = &stack_->emplace<SeqABcast>(opts_, events_, self_, empty);
   membership_ = &stack_->emplace<Membership>(opts_, events_, self_, empty);
   sink_ = &stack_->emplace<DeliverSink>(opts_, events_);
 
@@ -96,6 +98,16 @@ void GroupNode::build_stack() {
   runtime_ = std::make_unique<Runtime>(*stack_, rt_opts);
 }
 
+FailureDetector& GroupNode::fd() {
+  if (fd_ == nullptr) throw ConfigError("GroupNode::fd: the heartbeat detector is not selected");
+  return *fd_;
+}
+
+SwimDetector& GroupNode::swim() {
+  if (swim_ == nullptr) throw ConfigError("GroupNode::swim: the SWIM detector is not selected");
+  return *swim_;
+}
+
 GroupNode::~GroupNode() {
   timers_.cancel_all();
   net_.detach(self_);  // no further delivery callbacks after this returns
@@ -106,20 +118,24 @@ void GroupNode::bind_all() {
   // External events.
   stack_->bind(events_.rc_data, *relcomm_->recv_data_handler());
   stack_->bind(events_.rc_ack, *relcomm_->recv_ack_handler());
-  stack_->bind(events_.fd_heartbeat, *fd_->on_heartbeat_handler());
-  stack_->bind(events_.swim_wire, *swim_->on_wire_handler());
   stack_->bind(events_.cs_wire, *consensus_->on_wire_handler());
   stack_->bind(events_.view_install, *membership_->on_install_handler());
   stack_->bind(events_.retransmit_tick, *relcomm_->retransmit_handler());
-  stack_->bind(events_.heartbeat_tick, *fd_->send_heartbeats_handler());
-  stack_->bind(events_.fd_check_tick, *fd_->check_handler());
-  stack_->bind(events_.swim_tick, *swim_->tick_handler());
   stack_->bind(events_.cs_retry_tick, *consensus_->retry_handler());
-  if (opts_.abcast_impl == ABcastImpl::kConsensus) {
-    stack_->bind(events_.api_abcast, *abcast_->submit_handler());
+  const Handler* detector_view_change = nullptr;
+  if (fd_ != nullptr) {
+    stack_->bind(events_.fd_heartbeat, *fd_->on_heartbeat_handler());
+    stack_->bind(events_.heartbeat_tick, *fd_->send_heartbeats_handler());
+    stack_->bind(events_.fd_check_tick, *fd_->check_handler());
+    detector_view_change = fd_->view_change_handler();
   } else {
-    stack_->bind(events_.api_abcast, *seq_abcast_->submit_handler());
+    stack_->bind(events_.swim_wire, *swim_->on_wire_handler());
+    stack_->bind(events_.swim_tick, *swim_->tick_handler());
+    detector_view_change = swim_->view_change_handler();
   }
+  // Membership ops are ordered by the same submit handler (see
+  // Membership's joinleave).
+  stack_->bind(events_.api_abcast, *abcast_->submit_handler());
   stack_->bind(events_.api_rbcast, *relcast_->bcast_handler());
   stack_->bind(events_.api_ccast, *causal_->submit_handler());
   stack_->bind(events_.api_joinleave, *membership_->joinleave_handler());
@@ -129,9 +145,6 @@ void GroupNode::bind_all() {
   stack_->bind(events_.from_rcomm, *relcast_->recv_handler());
   stack_->bind(events_.bcast, *relcast_->bcast_handler());
   stack_->bind(events_.deliver_out, *abcast_->on_rdeliver_handler());
-  if (opts_.abcast_impl == ABcastImpl::kSequencer) {
-    stack_->bind(events_.deliver_out, *seq_abcast_->on_rdeliver_handler());
-  }
   stack_->bind(events_.deliver_out, *causal_->on_rdeliver_handler());
   stack_->bind(events_.deliver_out, *sink_->on_rdeliver_handler());
   stack_->bind(events_.adeliver, *membership_->on_adeliver_handler());
@@ -143,24 +156,16 @@ void GroupNode::bind_all() {
   // inconsistent views.
   stack_->bind(events_.view_change, *relcast_->view_change_handler());
   stack_->bind(events_.view_change, *relcomm_->view_change_handler());
-  stack_->bind(events_.view_change, *fd_->view_change_handler());
-  stack_->bind(events_.view_change, *swim_->view_change_handler());
+  stack_->bind(events_.view_change, *detector_view_change);
   stack_->bind(events_.view_change, *consensus_->view_change_handler());
   stack_->bind(events_.view_change, *abcast_->view_change_handler());
   stack_->bind(events_.view_change, *causal_->view_change_handler());
-  stack_->bind(events_.view_change, *seq_abcast_->view_change_handler());
   stack_->bind(events_.suspect, *consensus_->on_suspect_handler());
   stack_->bind(events_.cs_propose, *consensus_->propose_handler());
   stack_->bind(events_.cs_decided, *abcast_->on_decide_handler());
-  // Membership ops always order through the consensus implementation (see
-  // events.hpp); under the sequencer impl the consensus ABcast still needs
-  // its dissemination input, so bind its rdeliver tap unconditionally.
-  stack_->bind(events_.membership_abcast, *abcast_->submit_handler());
   stack_->bind(events_.abcast_catchup, *abcast_->on_catchup_handler());
-  stack_->bind(events_.seq_catchup, *seq_abcast_->on_catchup_handler());
   stack_->bind(events_.transport_send, *transport_->send_handler());
 
-  membership_->set_order_floor_source([sa = seq_abcast_] { return sa->order_floor(); });
   sink_->set_view_source([mb = membership_] { return mb->view_snapshot().id(); });
 }
 
@@ -168,34 +173,37 @@ Isolation GroupNode::make_spec(EventClass klass) const {
   std::vector<const Microprotocol*> members;
   switch (klass) {
     case EventClass::kRcData:
-      // Under the sequencer implementation the total-order delivery (and
-      // hence the membership/view-change cascade) can fire directly from a
-      // data packet's computation, so the declaration covers the full
-      // stack (over-declaration is always legal).
-      members = {transport_, relcomm_, relcast_,   abcast_, seq_abcast_, causal_,
-                 consensus_, fd_,      swim_,       membership_, sink_};
+      // A data packet reaches RelCast's relay, ABcast's on_rdeliver (which
+      // may propose, and Consensus then sends), CausalCast and the sink. No
+      // decision completes inside it: Consensus hears even its own PREPARE
+      // and DECIDE as loopback packets, so ADeliver and the Membership /
+      // ViewChange cascade never run here. The declaration still covers
+      // the full stack; the detector and Membership are over-declared,
+      // which is legal.
+      members = {transport_, relcomm_, relcast_, abcast_,     causal_,
+                 consensus_, fd_,      swim_,    membership_, sink_};
       break;
     case EventClass::kRcAck:
+    case EventClass::kRetransmitTick:
       members = {transport_, relcomm_};
       break;
     case EventClass::kFdHeartbeat:
       members = {fd_};
       break;
     case EventClass::kSwimWire:
-      // Piggybacked updates can raise a suspicion, and the Suspect event
-      // feeds consensus (coordinator rotation), which sends.
+    case EventClass::kSwimTick:
+      // Piggybacked updates and probe timeouts can raise a suspicion, and
+      // the Suspect event feeds consensus (coordinator rotation), which
+      // sends.
       members = {transport_, swim_, consensus_};
       break;
     case EventClass::kCsWire:
-      members = {transport_, relcomm_, relcast_, fd_,      swim_, consensus_, abcast_,
-                 seq_abcast_, causal_, membership_, sink_};
+      members = {transport_, relcomm_, relcast_, fd_,     swim_,
+                 consensus_, abcast_,  causal_,  membership_, sink_};
       break;
     case EventClass::kViewInstall:
-      members = {transport_, relcomm_, relcast_, fd_, swim_, consensus_, abcast_,
-                 seq_abcast_, causal_, membership_};
-      break;
-    case EventClass::kRetransmitTick:
-      members = {transport_, relcomm_};
+      members = {transport_, relcomm_, relcast_, fd_,    swim_,
+                 consensus_, abcast_,  causal_,  membership_};
       break;
     case EventClass::kHeartbeatTick:
       members = {transport_, fd_};
@@ -203,28 +211,27 @@ Isolation GroupNode::make_spec(EventClass klass) const {
     case EventClass::kFdCheckTick:
       members = {transport_, fd_, consensus_};
       break;
-    case EventClass::kSwimTick:
-      members = {transport_, swim_, consensus_};
-      break;
     case EventClass::kCsRetryTick:
       members = {transport_, consensus_};
       break;
     case EventClass::kApiRbcast:
-      members = {transport_, relcomm_, relcast_, abcast_, seq_abcast_, causal_, sink_};
-      break;
     case EventClass::kApiCcast:
-      members = {transport_, relcomm_, relcast_, abcast_, seq_abcast_, causal_, sink_};
+      members = {transport_, relcomm_, relcast_, abcast_, causal_, sink_};
       break;
     case EventClass::kApiAbcast:
-      // The submitting site may itself be the sequencer: ordering (and the
-      // adeliver cascade) can complete synchronously inside this call.
-      members = {transport_, relcomm_, relcast_,   abcast_, seq_abcast_, causal_,
-                 consensus_, fd_,      swim_,       membership_, sink_};
+      // Submitting disseminates through RelCast and may propose; as for
+      // kRcData, no decision (and so no ADeliver cascade) completes inside
+      // this call. The full-stack declaration over-declares CausalCast,
+      // the detector, Membership and the sink, which is legal.
+      members = {transport_, relcomm_, relcast_, abcast_,     causal_,
+                 consensus_, fd_,      swim_,    membership_, sink_};
       break;
     case EventClass::kApiJoinLeave:
       members = {transport_, relcomm_, relcast_, abcast_, consensus_, membership_};
       break;
   }
+  // The unselected detector was never built: its null drops out here.
+  std::erase(members, nullptr);
   if (opts_.policy == CCPolicy::kVCABound) {
     std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
     bounds.reserve(members.size());
@@ -279,10 +286,11 @@ void GroupNode::on_packet(const net::Packet& packet) {
         } else if constexpr (std::is_same_v<T, RcAck>) {
           spawn(EventClass::kRcAck, events_.rc_ack, msg);
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
-          spawn(EventClass::kFdHeartbeat, events_.fd_heartbeat, msg);
+          // A detector this node did not build has no handler: drop.
+          if (fd_ != nullptr) spawn(EventClass::kFdHeartbeat, events_.fd_heartbeat, msg);
         } else if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                              std::is_same_v<T, SwimPingReq>) {
-          spawn(EventClass::kSwimWire, events_.swim_wire, msg);
+          if (swim_ != nullptr) spawn(EventClass::kSwimWire, events_.swim_wire, msg);
         } else if constexpr (std::is_same_v<T, ViewInstall>) {
           spawn(EventClass::kViewInstall, events_.view_install, msg);
         } else {
@@ -321,9 +329,8 @@ void GroupNode::arm_timers() {
   timers_.schedule_periodic(opts_.retransmit_interval, [this] {
     spawn_tick(0, EventClass::kRetransmitTick, events_.retransmit_tick);
   });
-  // Only the selected failure detector's ticks run; the other detector's
-  // microprotocol sits in the stack unticked (its handlers never fire).
-  if (opts_.detector_impl == DetectorImpl::kHeartbeat) {
+  // Only the selected failure detector is built, so only its ticks run.
+  if (fd_ != nullptr) {
     timers_.schedule_periodic(opts_.heartbeat_interval, [this] {
       spawn_tick(1, EventClass::kHeartbeatTick, events_.heartbeat_tick);
     });

@@ -1,7 +1,8 @@
 // GroupNode — one site's complete group-communication stack.
 //
-// Owns the Stack (Transport, RelComm, RelCast, FailureDetector, Consensus,
-// ABcast, Membership, a delivery sink), its Runtime with the chosen
+// Owns the Stack (Transport, RelComm, RelCast, the failure detector that
+// GcOptions::detector_impl selects, Consensus, ABcast, CausalCast,
+// Membership, a delivery sink), its Runtime with the chosen
 // concurrency-control policy, and a TimerService; registers with the
 // SimNetwork and turns every network packet and timer tick into an
 // `isolated` computation with the appropriate declaration.
@@ -29,7 +30,6 @@
 #include "gc/gc_options.hpp"
 #include "gc/membership.hpp"
 #include "gc/rel_cast.hpp"
-#include "gc/seq_abcast.hpp"
 #include "gc/rel_comm.hpp"
 #include "gc/swim.hpp"
 #include "gc/transport.hpp"
@@ -100,7 +100,7 @@ class GroupNode {
   /// MsgId epoch is bumped, and the site re-attaches to the network with
   /// timers re-armed. The node is NOT a group member afterwards: a current
   /// member must `request_join(id())` so the membership/state-transfer
-  /// path installs a view (with ordering catch-up floors) on it.
+  /// path installs a view (with the ordering catch-up floor) on it.
   void restart();
 
   /// One finished lifetime of this node (archived by restart()).
@@ -144,16 +144,14 @@ class GroupNode {
   RelCast& rel_cast() { return *relcast_; }
   ABcast& ab() { return *abcast_; }
   CausalCast& causal() { return *causal_; }
-  SeqABcast& seq_ab() { return *seq_abcast_; }
   Consensus& consensus() { return *consensus_; }
-  FailureDetector& fd() { return *fd_; }
-  SwimDetector& swim() { return *swim_; }
+  /// The heartbeat / SWIM detector; each throws ConfigError unless
+  /// GcOptions::detector_impl selected it (only that one is built).
+  FailureDetector& fd();
+  SwimDetector& swim();
   /// The failure detector selected by GcOptions::detector_impl, behind
   /// the common seam (harnesses compare detectors through this).
-  Detector& detector() {
-    return opts_.detector_impl == DetectorImpl::kSwim ? static_cast<Detector&>(*swim_)
-                                                      : static_cast<Detector&>(*fd_);
-  }
+  Detector& detector() { return *detector_; }
   Transport& transport() { return *transport_; }
   const GcEvents& events() const { return events_; }
   const GcOptions& options() const { return opts_; }
@@ -222,12 +220,13 @@ class GroupNode {
   Transport* transport_ = nullptr;
   RelComm* relcomm_ = nullptr;
   RelCast* relcast_ = nullptr;
+  // Exactly one of fd_ / swim_ is built; the other stays null.
   FailureDetector* fd_ = nullptr;
   SwimDetector* swim_ = nullptr;
+  Detector* detector_ = nullptr;
   Consensus* consensus_ = nullptr;
   ABcast* abcast_ = nullptr;
   CausalCast* causal_ = nullptr;
-  SeqABcast* seq_abcast_ = nullptr;
   Membership* membership_ = nullptr;
   DeliverSink* sink_ = nullptr;
   /// One declaration per EventClass, built once per stack; every spawn

@@ -17,8 +17,8 @@
 // retransmits the message until every member of its view holds it, and the
 // origin proposes it itself. The relay would cost n broadcasts of n sends
 // per message for nothing. ABcast dedups by id, so a repeated copy is
-// harmless. The plain, causal and sequencer channels keep the relay: no
-// consensus carries their payloads.
+// harmless. The plain and causal channels keep the relay: no consensus
+// carries their payloads.
 #pragma once
 
 #include <unordered_set>

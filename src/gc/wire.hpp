@@ -27,12 +27,9 @@ inline MsgId make_msg_id(SiteId origin, std::uint64_t seq) {
 inline SiteId msg_origin(MsgId id) { return SiteId(static_cast<SiteId::value_type>(id >> 32)); }
 
 /// Channel bits inside the per-origin sequence part of a MsgId. Several
-/// broadcast layers share RelCast for dissemination; the bits let each
-/// layer recognise its own messages in the DeliverOut fan-out (a layer
-/// would otherwise order another layer's traffic). 29 bits of sequence
-/// per channel per origin is plenty for any simulated run.
-constexpr std::uint64_t kSeqChannelBit = 1ull << 29;     // sequencer abcast payloads
-constexpr std::uint64_t kSeqOrderChannelBit = 1ull << 28;  // sequencer announcements
+/// broadcast layers share RelCast for dissemination; the bits keep their
+/// ids apart (RelCast dedups by id) and tell RelCast which messages
+/// consensus carries (see is_consensus_channel).
 constexpr std::uint64_t kCausalChannelBit = 1ull << 30;  // causal broadcasts
 constexpr std::uint64_t kPlainChannelBit = 1ull << 31;   // plain reliable broadcasts
 
@@ -43,11 +40,9 @@ constexpr std::uint64_t kPlainChannelBit = 1ull << 31;   // plain reliable broad
 /// 24 bits of per-channel sequence remain — plenty for any simulated run.
 inline constexpr std::uint64_t epoch_bits(std::uint64_t epoch) { return (epoch & 0xFull) << 24; }
 
-inline bool in_channel(MsgId id, std::uint64_t bit) { return (id & bit) != 0; }
 /// Consensus-ABcast messages use no channel bit (plain low sequence).
 inline bool is_consensus_channel(MsgId id) {
-  return (id & (kSeqChannelBit | kSeqOrderChannelBit | kCausalChannelBit | kPlainChannelBit)) ==
-         0;
+  return (id & (kCausalChannelBit | kPlainChannelBit)) == 0;
 }
 
 /// An application payload travelling through RelCast / ABcast. `atomic`
@@ -151,17 +146,16 @@ struct CsDecide {
 // --- Membership ---
 /// Direct view installation for a site joining the group (the state-
 /// transfer shortcut: the paper's system does a full ST protocol, we ship
-/// the view plus ordering floors — the preserved behaviour is the
-/// ViewChange cascade). The floors make a REJOIN a consistent
-/// continuation: the joiner starts delivering at the consensus slot /
-/// sequencer number right after the one that ordered its own join, so its
-/// trace neither replays history nor skips messages ordered in its view.
-/// Zero floors mean "no catch-up" (the bootstrap install of view 1).
+/// the view plus an ordering floor — the preserved behaviour is the
+/// ViewChange cascade). The floor makes a REJOIN a consistent
+/// continuation: the joiner starts delivering at the consensus slot right
+/// after the one that ordered its own join, so its trace neither replays
+/// history nor skips messages ordered in its view. A zero floor means
+/// "no catch-up" (the bootstrap install of view 1).
 struct ViewInstall {
   std::uint64_t view_id = 0;
   std::vector<SiteId> members;
-  std::uint64_t next_instance = 0;  // consensus ABcast: first slot to apply
-  std::uint64_t next_seq = 0;       // sequencer ABcast: first seq to deliver
+  std::uint64_t next_instance = 0;  // first consensus slot to apply
 };
 
 using Wire = std::variant<RcData, RcAck, FdHeartbeat, CsPrepare, CsPromise, CsAccept, CsAccepted,

@@ -170,7 +170,6 @@ std::vector<std::uint8_t> encode_wire(SiteId from, const gc::Wire& wire) {
           w.put_varint(msg.members.size());
           for (SiteId s : msg.members) w.put_varint(s.value());
           w.put_varint(msg.next_instance);
-          w.put_varint(msg.next_seq);
         } else if constexpr (std::is_same_v<T, SwimPing>) {
           w.put_u8(static_cast<std::uint8_t>(Tag::kSwimPing));
           w.put_varint(msg.seq);
@@ -264,7 +263,6 @@ gc::FromWire decode_wire(const std::vector<std::uint8_t>& bytes) {
         m.members.push_back(SiteId(static_cast<SiteId::value_type>(r.get_varint())));
       }
       m.next_instance = r.get_varint();
-      m.next_seq = r.get_varint();
       fw.wire = m;
       break;
     }

@@ -39,7 +39,7 @@ namespace samoa::verify {
 struct DeliveryRecord {
   std::uint64_t id = 0;       // gc::MsgId
   std::uint64_t view_id = 0;  // view installed when the delivery happened
-  std::uint64_t ordinal = 0;  // global order position (consensus slot / sequencer seq)
+  std::uint64_t ordinal = 0;  // global order position (consensus slot)
   std::string data;
 };
 

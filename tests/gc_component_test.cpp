@@ -1,9 +1,11 @@
 // Component-level tests of the group-communication microprotocols on
 // small clusters: RelComm dedup/acks/retransmit give-up, RelCast
 // rebroadcast semantics, ABcast batching, consensus under coordinator
-// crash and late messages after a decision, and Outbox ordering.
+// crash and late messages after a decision, the one-detector stack, and
+// Outbox ordering.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -12,8 +14,12 @@
 #include <variant>
 #include <vector>
 
+#include "core/errors.hpp"
 #include "gc/group_node.hpp"
+#include "time/clock.hpp"
 #include "util/rng.hpp"
+#include "util/sync.hpp"
+#include "virtual_fleet.hpp"
 
 namespace samoa::gc {
 namespace {
@@ -362,23 +368,131 @@ TEST(FailureDetectorComponent, ViewChangeSeedsJoinerTimestamp) {
   // skipped it until its first heartbeat arrived — a newcomer that died
   // immediately after joining was never suspected. The viewChange handler
   // must seed every new member at "now".
+  //
+  // The fleet runs on one VirtualClock, so its 1 ms heartbeats keep their
+  // cadence however slowly the host runs (sanitizers, a loaded machine).
+  using std::chrono::microseconds;
+  time::VirtualClock clock;
   GcOptions opts;
-  opts.heartbeat_interval = std::chrono::microseconds(1000);
-  opts.fd_timeout = std::chrono::microseconds(8000);
-  Pair p(opts, LinkOptions{.base_latency = std::chrono::microseconds(80)}, 4);
-  auto joiner = std::make_unique<GroupNode>(p.net, opts);
-  joiner->start(View(1, {joiner->id()}));
-  p.nodes[0]->request_join(joiner->id());
-  ASSERT_TRUE(wait_until([&] { return p.nodes[0]->fd().tracks(joiner->id()); }))
-      << "joiner never seeded into last_heard_";
-  // Kill the newcomer right away: the seed (not a received heartbeat) must
-  // be what starts its timeout clock.
-  joiner->crash();
-  EXPECT_TRUE(wait_until([&] { return p.nodes[0]->fd().is_suspected(joiner->id()); }))
-      << "joiner crash after join was never detected";
+  opts.heartbeat_interval = microseconds(1000);
+  opts.fd_timeout = microseconds(8000);
+  opts.clock = &clock;
+  SimNetwork net(LinkOptions{.base_latency = microseconds(80)}, 5, &clock);
+  net::TimerService script(&clock);
+  std::vector<std::unique_ptr<GroupNode>> nodes;
+  for (int i = 0; i < 4; ++i) nodes.push_back(std::make_unique<GroupNode>(net, opts));
+  auto joiner = std::make_unique<GroupNode>(net, opts);
+  const SiteId newcomer = joiner->id();
+
+  std::atomic<bool> tracked{false}, suspected{false};
+  OneShotEvent done;
+  {
+    time::Pin setup(clock);
+    std::vector<SiteId> members;
+    for (auto& n : nodes) members.push_back(n->id());
+    for (auto& n : nodes) n->start(View(1, members));
+    joiner->start(View(1, {newcomer}));
+    script.schedule(microseconds(1000), [&] { nodes[0]->request_join(newcomer); });
+    // Site 0 is sampled every 100 us of virtual time. The newcomer is
+    // killed the moment site 0 tracks it: the seed (not a received
+    // heartbeat) must be what starts its timeout clock.
+    script.schedule_periodic(microseconds(100), [&] {
+      if (!tracked.load()) {
+        if (!nodes[0]->fd().tracks(newcomer)) return;
+        tracked.store(true);
+        joiner->crash();
+      } else if (nodes[0]->fd().is_suspected(newcomer)) {
+        suspected.store(true);
+        done.set();
+      }
+    });
+    script.schedule(microseconds(1'000'000), [&] { done.set(); });  // horizon
+  }
+  done.wait();
+  script.cancel_all();
+  for (auto& n : nodes) n->stop_timers();
   joiner->stop_timers();
-  joiner->drain();
+  ASSERT_TRUE(tracked.load()) << "joiner never seeded into last_heard_";
+  EXPECT_TRUE(suspected.load()) << "joiner crash after join was never detected";
 }
+
+// --- One detector per stack -----------------------------------------------
+
+class OneDetectorStack : public ::testing::TestWithParam<DetectorImpl> {
+ protected:
+  static bool heartbeat() { return GetParam() == DetectorImpl::kHeartbeat; }
+};
+
+TEST_P(OneDetectorStack, BuildsOnlyTheSelectedDetector) {
+  GcOptions opts;
+  opts.detector_impl = GetParam();
+  SimNetwork net;
+  GroupNode node(net, opts);
+  if (heartbeat()) {
+    EXPECT_EQ(&node.detector(), static_cast<Detector*>(&node.fd()));
+    EXPECT_THROW(node.swim(), ConfigError);
+  } else {
+    EXPECT_EQ(&node.detector(), static_cast<Detector*>(&node.swim()));
+    EXPECT_THROW(node.fd(), ConfigError);
+  }
+}
+
+TEST_P(OneDetectorStack, OtherDetectorsPacketSpawnsNothing) {
+  // A quiescent virtual-time pair: timers stopped, network drained. A
+  // packet of the unbuilt detector's wire kind is dropped on arrival; one
+  // of the built detector's kind (the control) runs one computation.
+  using std::chrono::microseconds;
+  time::VirtualClock clock;
+  GcOptions opts;
+  opts.detector_impl = GetParam();
+  opts.clock = &clock;
+  SimNetwork net(LinkOptions{.base_latency = microseconds(80)}, 5, &clock);
+  GroupNode a(net, opts);
+  GroupNode b(net, opts);
+  {
+    time::Pin setup(clock);
+    a.start(View(1, {a.id(), b.id()}));
+    b.start(View(1, {a.id(), b.id()}));
+  }
+  a.stop_timers();
+  b.stop_timers();
+  net.drain();
+  a.drain();
+  b.drain();
+
+  const Wire hb{FdHeartbeat{1}};
+  const Wire ping{SwimPing{1, {}}};
+  const auto inject = [&](const Wire& wire) {
+    const auto before = a.runtime().stats().spawned.value();
+    net.send(b.id(), a.id(), Message::of(FromWire{b.id(), wire}));
+    net.drain();
+    a.drain();
+    return a.runtime().stats().spawned.value() - before;
+  };
+  EXPECT_EQ(inject(heartbeat() ? ping : hb), 0u) << "the unbuilt detector's packet ran";
+  EXPECT_EQ(inject(heartbeat() ? hb : ping), 1u) << "the built detector's packet was dropped";
+}
+
+TEST_P(OneDetectorStack, FleetConvergesWithCleanVsChecker) {
+  // The churn harness (crash, evictions, flaps, a healed island) over a
+  // small fleet, through whichever detector the stack built.
+  testing::ChurnConfig cfg;
+  cfg.sites = 10;
+  cfg.seed = 3;
+  cfg.detector = GetParam();
+  // Heartbeat detection takes up to 2 * fd_timeout after last contact.
+  cfg.detect_window = std::chrono::microseconds(60000);
+  const auto out = testing::run_churn_fleet(cfg);
+  ASSERT_TRUE(out.converged);
+  EXPECT_TRUE(out.vs.ok()) << out.vs.describe();
+  EXPECT_GT(out.suspicions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Detectors, OneDetectorStack,
+                         ::testing::Values(DetectorImpl::kHeartbeat, DetectorImpl::kSwim),
+                         [](const ::testing::TestParamInfo<DetectorImpl>& info) {
+                           return info.param == DetectorImpl::kHeartbeat ? "Heartbeat" : "Swim";
+                         });
 
 TEST(Outbox, FlushesInQueueingOrder) {
   Stack stack;

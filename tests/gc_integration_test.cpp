@@ -307,13 +307,24 @@ std::int64_t discarded_in_race(CCPolicy policy, bool manual_locks,
   Cluster c(4, opts);
   c.start(3);
 
-  c[0].request_join(c[3].id());
-  // Flood rbcasts from node 1 while the view change propagates; each one
-  // that runs inside the race window meets RelCast(new view) +
-  // RelComm(old view) under the unsynchronised baseline.
-  for (int i = 0; i < 40; ++i) {
-    c[1].rbcast("flood" + std::to_string(i));
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  const SiteId joiner = c[3].id();
+  c[0].request_join(joiner);
+  // The ViewChange reaches RelCast first, and RelComm then spins for
+  // `window` before it takes its guard and adopts the view. Wait for node 1
+  // to enter that window (RelCast holds the joiner), then flood rbcasts
+  // from it until its RelComm holds the new view: under the unsynchronised
+  // baseline every rbcast that runs inside the window meets RelCast(new
+  // view) + RelComm(old view) and loses its copy for the joiner; under
+  // isolation they wait for the view change. Each rbcast is awaited, so
+  // the flood runs at node 1's own pace.
+  const auto deadline = Clock::now() + std::chrono::seconds(20);
+  while (!c[1].rel_cast().view_snapshot().contains(joiner) && Clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; !c[1].rel_comm().view_snapshot().contains(joiner) && Clock::now() < deadline;
+       ++i) {
+    c[1].rbcast("flood" + std::to_string(i)).wait();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   if (!wait_until([&] { return c[3].membership().view_snapshot().size() == 4; })) return -1;
   // Let in-flight floods settle, then stop the periodic timers so the
@@ -340,9 +351,12 @@ TEST(GcIntegration, ViewChangeRaceLosesMessagesOnlyWithoutIsolation) {
   ASSERT_GE(lost_isolated, 0) << "join never completed under VCAbasic";
   EXPECT_EQ(lost_isolated, 0) << "VCAbasic let RelComm see a stale view";
 
+  // The unsynchronised run widens the window to 20 ms: on a shared host a
+  // single spawn or wakeup can stall for several milliseconds, long enough
+  // for a 2 ms window to open and close between two flood rbcasts.
   std::int64_t lost_unsync = 0;
   for (int attempt = 0; attempt < 5 && lost_unsync <= 0; ++attempt) {
-    lost_unsync = discarded_in_race(CCPolicy::kUnsync, true, std::chrono::microseconds(2000));
+    lost_unsync = discarded_in_race(CCPolicy::kUnsync, true, std::chrono::microseconds(20000));
   }
   EXPECT_GT(lost_unsync, 0)
       << "expected the unsynchronised baseline to discard messages in the race window";
