@@ -8,6 +8,7 @@
 //   serial        one computation at a time per site (Appia-like)
 //   VCAbasic      per-declaration versioning (the paper's default)
 //   VCAbound      generous bounds (same declarations, windowed gates)
+//   VCAroute      inferred routing patterns (early release, Rule 4(b))
 //   unsync+locks  Cactus-style manual synchronisation baseline
 //
 // Besides the table, every (sites, controller) run prints one
@@ -116,8 +117,9 @@ int main() {
   const Controller controllers[] = {{"serial", CCPolicy::kSerial, false},
                                     {"VCAbasic", CCPolicy::kVCABasic, false},
                                     {"VCAbound", CCPolicy::kVCABound, false},
+                                    {"VCAroute", CCPolicy::kVCARoute, false},
                                     {"unsync+manual-locks", CCPolicy::kUnsync, true}};
-  Table table({"sites", "serial", "VCAbasic", "VCAbound", "unsync+manual-locks"});
+  Table table({"sites", "serial", "VCAbasic", "VCAbound", "VCAroute", "unsync+manual-locks"});
   for (int sites : {3, 5, 7}) {
     std::vector<std::string> row{std::to_string(sites)};
     for (const auto& c : controllers) {

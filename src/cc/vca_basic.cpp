@@ -1,7 +1,6 @@
 #include "cc/vca_basic.hpp"
 
 #include <sstream>
-#include <unordered_map>
 
 #include "core/errors.hpp"
 
@@ -87,58 +86,6 @@ std::unique_ptr<ComputationCC> VCABasicController::admit(ComputationId k, const 
     }
   }
   return std::make_unique<VCABasicComputationCC>(*this, k, std::move(slots));
-}
-
-std::vector<std::unique_ptr<ComputationCC>> VCABasicController::admit_batch(
-    const std::vector<AdmitRequest>& reqs) {
-  stats_.admissions.add(reqs.size());
-  stats_.admissions_batched.add(reqs.size());
-  std::vector<std::unique_ptr<ComputationCC>> out;
-  out.reserve(reqs.size());
-
-  bool all_single = true;
-  for (const AdmitRequest& r : reqs) all_single &= (r.spec->members().size() == 1);
-
-  if (all_single) {
-    // One fetch_add per distinct gate claims a consecutive version range;
-    // sub-versions are handed out in batch order, so on every gate the
-    // batch is indistinguishable from admitting its members one by one.
-    stats_.admit_fast.add(reqs.size());
-    std::unordered_map<MicroprotocolId, std::uint64_t> counts;
-    for (const AdmitRequest& r : reqs) ++counts[r.spec->members().front()];
-    std::unordered_map<MicroprotocolId, std::uint64_t> next;
-    for (const auto& [mp, n] : counts) {
-      next.emplace(mp, gates_.gate(mp).claim_range(n) - n + 1);
-    }
-    for (const AdmitRequest& r : reqs) {
-      const MicroprotocolId mp = r.spec->members().front();
-      const std::uint64_t pv_k = next.at(mp)++;
-      VersionGate& gate = gates_.gate(mp);
-      gate.note_holder(pv_k, r.k.value());
-      out.push_back(std::make_unique<VCABasicComputationCC>(
-          *this, r.k, std::vector<VersionSlot>{{mp, &gate, pv_k}}));
-    }
-    return out;
-  }
-
-  // Mixed batch: one lock-ordered transaction over the union of all member
-  // gates makes the whole burst a single indivisible admission step.
-  stats_.admit_slow.add(reqs.size());
-  std::vector<MicroprotocolId> union_mps;
-  for (const AdmitRequest& r : reqs) {
-    union_mps.insert(union_mps.end(), r.spec->members().begin(), r.spec->members().end());
-  }
-  OrderedAdmission locks(gates_, union_mps);
-  for (const AdmitRequest& r : reqs) {
-    std::vector<VersionSlot> slots;
-    slots.reserve(r.spec->members().size());
-    for (MicroprotocolId mp : r.spec->members()) {
-      VersionGate& gate = gates_.gate(mp);
-      slots.push_back({mp, &gate, gate.admit(1, r.k.value())});
-    }
-    out.push_back(std::make_unique<VCABasicComputationCC>(*this, r.k, std::move(slots)));
-  }
-  return out;
 }
 
 }  // namespace samoa

@@ -21,10 +21,6 @@ std::uint64_t VersionGate::admit(std::uint64_t delta, std::uint64_t comp) {
   return pv;
 }
 
-std::uint64_t VersionGate::claim_range(std::uint64_t total) {
-  return cell_.gv.fetch_add(total, std::memory_order_acq_rel) + total;
-}
-
 void VersionGate::note_holder(std::uint64_t pv, std::uint64_t comp) {
   // Best-effort diagnostic record: a backlog deeper than the ring reuses
   // slots, and a dump racing the pair of stores may see a torn entry. Both

@@ -88,15 +88,8 @@ class VersionGate : public diag::HolderSource {
   /// blocked-state dumps.
   std::uint64_t admit(std::uint64_t delta, std::uint64_t comp = 0);
 
-  /// Batch half of Step 1: reserve `total` versions in one fetch_add and
-  /// return the top of the claimed range (= the new gv). The caller hands
-  /// out sub-ranges in batch order and reports each computation's pv via
-  /// note_holder().
-  std::uint64_t claim_range(std::uint64_t total);
-
   /// Record that `comp` owns (will publish) version `pv` — the lock-free
-  /// holder note behind blocked-state dumps. admit() calls this itself;
-  /// batch admission calls it per assigned sub-range.
+  /// holder note behind blocked-state dumps. admit() calls this itself.
   void note_holder(std::uint64_t pv, std::uint64_t comp);
 
   /// Rule 2 of VCAbasic/VCAroute: block until lv == pv - 1. `who` names

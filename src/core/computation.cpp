@@ -36,7 +36,7 @@ void Computation::finalize() {
   if (StepHook* hook = runtime_.step_hook()) hook->resync(id_);
   // Book-keeping before the completion signal: a waiter woken by
   // completed_ must observe the runtime's final counters.
-  runtime_.on_computation_done(id_);
+  runtime_.on_computation_done(id_, failed());
   diag::WaitRegistry::instance().note_progress();
   completed_.set();
 }

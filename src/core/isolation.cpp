@@ -9,6 +9,7 @@ namespace samoa {
 
 Isolation Isolation::basic(std::vector<const Microprotocol*> mps) {
   Isolation iso(Kind::Basic);
+  iso.members_.reserve(mps.size());
   for (const auto* mp : mps) {
     if (mp == nullptr) throw ConfigError("Isolation::basic: null microprotocol");
     if (!iso.declares(mp->id())) iso.members_.push_back(mp->id());
@@ -18,6 +19,7 @@ Isolation Isolation::basic(std::vector<const Microprotocol*> mps) {
 
 Isolation Isolation::bound(std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds) {
   Isolation iso(Kind::Bound);
+  iso.members_.reserve(bounds.size());
   for (const auto& [mp, b] : bounds) {
     if (mp == nullptr) throw ConfigError("Isolation::bound: null microprotocol");
     if (b == 0) throw ConfigError("Isolation::bound: bound must be >= 1 for " + mp->name());

@@ -69,21 +69,6 @@ class Runtime {
   /// it once and spawn from it any number of times.
   ComputationHandle spawn_isolated(const Isolation& spec, std::function<void(Context&)> root);
 
-  /// One element of a batched spawn: the same (spec, root) pair
-  /// spawn_isolated takes.
-  struct SpawnRequest {
-    Isolation spec;
-    std::function<void(Context&)> root;
-  };
-
-  /// Spawn a burst of computations as one admission transaction: the
-  /// controller admits the whole batch (one version-range claim per gate
-  /// for compatible single-mp bursts — see admit_batch), and the pool
-  /// enqueues every root task under a single lock acquisition. Semantics
-  /// are identical to calling spawn_isolated for each request in order;
-  /// handle i corresponds to request i.
-  std::vector<ComputationHandle> spawn_isolated_batch(std::vector<SpawnRequest> reqs);
-
   /// Block until every computation spawned so far completed.
   void drain();
 
@@ -101,13 +86,17 @@ class Runtime {
   struct Stats {
     Counter spawned;
     Counter completed;
+    /// Completed computations that recorded an error (an IsolationError
+    /// included). Spawned from a packet or a tick, such a computation's
+    /// handle is read by nobody: this counter is where the error shows.
+    Counter failed;
     Counter handler_calls;
   };
   const Stats& stats() const { return stats_; }
 
   // -- internal (called by Computation / Context) --
   void record_computation_done(ComputationId id);
-  void on_computation_done(ComputationId id);
+  void on_computation_done(ComputationId id, bool failed);
   void count_handler_call() { stats_.handler_calls.add(); }
   /// Route an async handler task of computation `comp_id` to the dispatch
   /// substrate.
@@ -119,7 +108,7 @@ class Runtime {
   bool remove_inflight(ComputationId id);
 
   /// Build the pool task that runs `root` as `comp`'s root expression
-  /// (including the TSO restart loop); shared by single and batched spawn.
+  /// (including the TSO restart loop).
   std::function<void()> root_task(std::shared_ptr<Computation> comp,
                                   std::function<void(Context&)> root, std::uint64_t ticket);
 

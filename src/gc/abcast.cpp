@@ -16,7 +16,8 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
       events_(&events),
       self_(self),
       view_(std::move(initial_view)) {
-  submit_ = &register_handler("submit", [this](Context& ctx, const Message& m) {
+  submit_ = &register_handler("submit", {&events.bcast, &events.cs_propose},
+                              [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -31,7 +32,8 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
     out.flush(ctx);
   });
 
-  on_rdeliver_ = &register_handler("on_rdeliver", [this](Context& ctx, const Message& m) {
+  on_rdeliver_ = &register_handler("on_rdeliver", {&events.cs_propose},
+                                   [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -44,7 +46,8 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
     out.flush(ctx);
   });
 
-  on_decide_ = &register_handler("on_decide", [this](Context& ctx, const Message& m) {
+  on_decide_ = &register_handler("on_decide", {&events.adeliver, &events.cs_propose},
+                                 [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -60,7 +63,8 @@ ABcast::ABcast(const GcOptions& opts, const GcEvents& events, SiteId self, View 
     view_ = m.as<View>();
   });
 
-  on_catchup_ = &register_handler("on_catchup", [this](Context& ctx, const Message& m) {
+  on_catchup_ = &register_handler("on_catchup", {&events.cs_propose},
+                                  [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();

@@ -55,7 +55,8 @@ CausalCast::CausalCast(const GcOptions& opts, const GcEvents& events, SiteId sel
       events_(&events),
       self_(self),
       view_(std::move(initial_view)) {
-  submit_ = &register_handler("submit", [this](Context& ctx, const Message& m) {
+  submit_ = &register_handler("submit", {&events.causal_deliver, &events.bcast},
+                              [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -78,7 +79,8 @@ CausalCast::CausalCast(const GcOptions& opts, const GcEvents& events, SiteId sel
     out.flush(ctx);
   });
 
-  on_rdeliver_ = &register_handler("on_rdeliver", [this](Context& ctx, const Message& m) {
+  on_rdeliver_ = &register_handler("on_rdeliver", {&events.causal_deliver},
+                                   [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();

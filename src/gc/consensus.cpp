@@ -12,7 +12,8 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
       events_(&events),
       self_(self),
       view_(std::move(initial_view)) {
-  propose_ = &register_handler("propose", [this](Context& ctx, const Message& m) {
+  propose_ = &register_handler("propose", {&events.transport_send},
+                               [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -28,7 +29,8 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     out.flush(ctx);
   });
 
-  on_wire_ = &register_handler("on_wire", [this](Context& ctx, const Message& m) {
+  on_wire_ = &register_handler("on_wire", {&events.transport_send, &events.cs_decided},
+                               [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -53,7 +55,8 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     out.flush(ctx);
   });
 
-  on_suspect_ = &register_handler("on_suspect", [this](Context& ctx, const Message& m) {
+  on_suspect_ = &register_handler("on_suspect", {&events.transport_send},
+                                  [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -70,7 +73,8 @@ Consensus::Consensus(const GcOptions& opts, const GcEvents& events, SiteId self,
     out.flush(ctx);
   });
 
-  retry_ = &register_handler("retry", [this](Context& ctx, const Message&) {
+  retry_ = &register_handler("retry", {&events.transport_send},
+                             [this](Context& ctx, const Message&) {
     Outbox out;
     {
       auto lock = guard();

@@ -17,7 +17,7 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, 
     }
   });
 
-  send_heartbeats_ = &register_handler("send_heartbeats",
+  send_heartbeats_ = &register_handler("send_heartbeats", {&events.transport_send},
                                        [this, &events](Context& ctx, const Message&) {
     Outbox out;
     {
@@ -32,7 +32,8 @@ FailureDetector::FailureDetector(const GcOptions& opts, const GcEvents& events, 
     out.flush(ctx);
   });
 
-  check_ = &register_handler("check", [this, &events](Context& ctx, const Message&) {
+  check_ = &register_handler("check", {&events.suspect},
+                             [this, &events](Context& ctx, const Message&) {
     Outbox out;
     {
       auto lock = guard();

@@ -5,14 +5,21 @@
 // own mutex (call guard() first thing). Under the VCA policies the guard
 // is a no-op — the runtime's concurrency control already guarantees
 // exclusive access per computation, which is the paper's whole point.
+//
+// Each handler is registered together with the event types its body may
+// trigger. Those declared triggers are the input of core/infer, from
+// which GroupNode derives every isolation declaration (paper Section 4:
+// M "could be inferred statically").
 #pragma once
 
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/infer.hpp"
 #include "core/microprotocol.hpp"
 #include "gc/gc_options.hpp"
 
@@ -69,9 +76,29 @@ class Outbox {
 };
 
 class GcMicroprotocol : public Microprotocol {
+ public:
+  /// Add every declared handler -> event trigger of this microprotocol.
+  void declare_triggers(TriggerDeclarations& decls) const {
+    for (const auto& [handler, event] : triggers_) decls.declare(*handler, *event);
+  }
+
  protected:
   GcMicroprotocol(std::string name, const GcOptions& opts)
       : Microprotocol(std::move(name)), opts_(opts) {}
+
+  /// Register a handler whose body may trigger each of `triggers` (and
+  /// nothing else: an undeclared trigger throws IsolationError under the
+  /// declarations derived from these). A handler that triggers nothing
+  /// uses the plain overload.
+  Handler& register_handler(std::string name, std::initializer_list<const EventType*> triggers,
+                            HandlerFn fn) {
+    Handler& h = Microprotocol::register_handler(std::move(name), std::move(fn));
+    // One allocation per microprotocol: none declares more than 8 edges.
+    if (triggers_.empty()) triggers_.reserve(8);
+    for (const EventType* event : triggers) triggers_.emplace_back(&h, event);
+    return h;
+  }
+  using Microprotocol::register_handler;
 
   /// Lock for this microprotocol's state iff manual synchronisation is on.
   std::unique_lock<std::mutex> guard() {
@@ -84,6 +111,7 @@ class GcMicroprotocol : public Microprotocol {
  private:
   const GcOptions& opts_;
   std::mutex mu_;
+  std::vector<std::pair<const Handler*, const EventType*>> triggers_;
 };
 
 }  // namespace samoa::gc

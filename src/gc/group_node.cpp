@@ -1,7 +1,12 @@
 #include "core/context.hpp"
 #include "gc/group_node.hpp"
 
+#include <iterator>
+#include <map>
+#include <unordered_map>
+
 #include "core/errors.hpp"
+#include "core/infer.hpp"
 
 namespace samoa::gc {
 
@@ -67,7 +72,9 @@ void GroupNode::build_stack() {
   // A Stack seals its bindings on first spawn, so a restart cannot reuse
   // it: each incarnation composes a brand-new stack — which is also
   // exactly the crash semantics we want, since every microprotocol comes
-  // back with empty volatile state.
+  // back with empty volatile state. The composition and the bindings may
+  // depend on detector_impl only: build_specs reuses one inference per
+  // detector.
   stack_ = std::make_unique<Stack>();
   const View empty;
   transport_ = &stack_->emplace<Transport>(opts_, events_, net_, self_);
@@ -169,102 +176,118 @@ void GroupNode::bind_all() {
   sink_->set_view_source([mb = membership_] { return mb->view_snapshot().id(); });
 }
 
-Isolation GroupNode::make_spec(EventClass klass) const {
-  std::vector<const Microprotocol*> members;
-  switch (klass) {
-    case EventClass::kRcData:
-      // A data packet reaches RelCast's relay, ABcast's on_rdeliver (which
-      // may propose, and Consensus then sends), CausalCast and the sink. No
-      // decision completes inside it: Consensus hears even its own PREPARE
-      // and DECIDE as loopback packets, so ADeliver and the Membership /
-      // ViewChange cascade never run here. The declaration still covers
-      // the full stack; the detector and Membership are over-declared,
-      // which is legal.
-      members = {transport_, relcomm_, relcast_, abcast_,     causal_,
-                 consensus_, fd_,      swim_,    membership_, sink_};
-      break;
-    case EventClass::kRcAck:
-    case EventClass::kRetransmitTick:
-      members = {transport_, relcomm_};
-      break;
-    case EventClass::kFdHeartbeat:
-      members = {fd_};
-      break;
-    case EventClass::kSwimWire:
-    case EventClass::kSwimTick:
-      // Piggybacked updates and probe timeouts can raise a suspicion, and
-      // the Suspect event feeds consensus (coordinator rotation), which
-      // sends.
-      members = {transport_, swim_, consensus_};
-      break;
-    case EventClass::kCsWire:
-      members = {transport_, relcomm_, relcast_, fd_,     swim_,
-                 consensus_, abcast_,  causal_,  membership_, sink_};
-      break;
-    case EventClass::kViewInstall:
-      members = {transport_, relcomm_, relcast_, fd_,    swim_,
-                 consensus_, abcast_,  causal_,  membership_};
-      break;
-    case EventClass::kHeartbeatTick:
-      members = {transport_, fd_};
-      break;
-    case EventClass::kFdCheckTick:
-      members = {transport_, fd_, consensus_};
-      break;
-    case EventClass::kCsRetryTick:
-      members = {transport_, consensus_};
-      break;
-    case EventClass::kApiRbcast:
-    case EventClass::kApiCcast:
-      members = {transport_, relcomm_, relcast_, abcast_, causal_, sink_};
-      break;
-    case EventClass::kApiAbcast:
-      // Submitting disseminates through RelCast and may propose; as for
-      // kRcData, no decision (and so no ADeliver cascade) completes inside
-      // this call. The full-stack declaration over-declares CausalCast,
-      // the detector, Membership and the sink, which is legal.
-      members = {transport_, relcomm_, relcast_, abcast_,     causal_,
-                 consensus_, fd_,      swim_,    membership_, sink_};
-      break;
-    case EventClass::kApiJoinLeave:
-      members = {transport_, relcomm_, relcast_, abcast_, consensus_, membership_};
-      break;
+namespace {
+
+/// Root event type of each GroupNode::EventClass, in enum order.
+constexpr EventType GcEvents::*kRootEvents[] = {
+    &GcEvents::rc_data,         &GcEvents::rc_ack,         &GcEvents::fd_heartbeat,
+    &GcEvents::swim_wire,       &GcEvents::cs_wire,        &GcEvents::view_install,
+    &GcEvents::retransmit_tick, &GcEvents::heartbeat_tick, &GcEvents::fd_check_tick,
+    &GcEvents::swim_tick,       &GcEvents::cs_retry_tick,  &GcEvents::api_rbcast,
+    &GcEvents::api_abcast,      &GcEvents::api_ccast,      &GcEvents::api_joinleave,
+};
+constexpr std::size_t kEventClasses = std::size(kRootEvents);
+
+/// A handler's place in a stack: its microprotocol's index in
+/// Stack::microprotocols() and its index in that one's handlers().
+struct HandlerPos {
+  std::uint32_t mp = 0;
+  std::uint32_t handler = 0;
+};
+
+/// One root event's inferred declaration in stack positions, so that it
+/// maps onto every stack of the same shape.
+struct InferredDecl {
+  std::vector<std::uint32_t> members;
+  std::vector<HandlerPos> entries;
+  std::vector<std::pair<HandlerPos, HandlerPos>> edges;
+};
+
+using StackShape = std::array<InferredDecl, kEventClasses>;
+
+StackShape infer_shape(const Stack& stack, const GcEvents& events) {
+  StackShape shape;
+  TriggerDeclarations triggers;
+  std::unordered_map<MicroprotocolId, std::uint32_t> mp_pos;
+  std::unordered_map<HandlerId, HandlerPos> handler_pos;
+  const auto& mps = stack.microprotocols();
+  for (std::uint32_t i = 0; i < mps.size(); ++i) {
+    // GroupNode composes its stack from GcMicroprotocols only.
+    static_cast<const GcMicroprotocol&>(*mps[i]).declare_triggers(triggers);
+    mp_pos.emplace(mps[i]->id(), i);
+    const auto& handlers = mps[i]->handlers();
+    for (std::uint32_t j = 0; j < handlers.size(); ++j) {
+      handler_pos.emplace(handlers[j]->id(), HandlerPos{i, j});
+    }
   }
-  // The unselected detector was never built: its null drops out here.
-  std::erase(members, nullptr);
-  if (opts_.policy == CCPolicy::kVCABound) {
-    std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
-    bounds.reserve(members.size());
-    // Generous over-declaration is legal under VCAbound; too small throws.
-    constexpr std::uint32_t kBound = 256;
-    for (const auto* mp : members) bounds.emplace_back(mp, kBound);
-    return Isolation::bound(std::move(bounds));
+  for (std::size_t c = 0; c < kEventClasses; ++c) {
+    const EventType& root = events.*kRootEvents[c];
+    if (stack.bound_handlers(root.id()).empty()) continue;  // the unselected detector's
+    InferredDecl& decl = shape[c];
+    const Isolation basic = infer_members(stack, triggers, {root});
+    for (MicroprotocolId mp : basic.members()) decl.members.push_back(mp_pos.at(mp));
+    const Isolation route = infer_route(stack, triggers, {root});
+    for (HandlerId h : route.route_spec().entries) decl.entries.push_back(handler_pos.at(h));
+    for (const auto& [from, to] : route.route_spec().edges) {
+      decl.edges.emplace_back(handler_pos.at(from), handler_pos.at(to));
+    }
   }
-  return Isolation::basic(std::move(members));
+  return shape;
 }
+
+/// The inferred declarations for stacks built with `detector`. Every
+/// GroupNode with the same detector composes, binds and declares the same
+/// stack, so inference runs once per process and detector; each node only
+/// maps the positions onto its own microprotocols.
+const StackShape& shape_for(DetectorImpl detector, const Stack& stack, const GcEvents& events) {
+  static std::mutex mu;
+  static std::map<DetectorImpl, const StackShape> shapes;  // nodes never move
+  std::unique_lock lock(mu);
+  auto it = shapes.find(detector);
+  if (it == shapes.end()) it = shapes.emplace(detector, infer_shape(stack, events)).first;
+  return it->second;
+}
+
+}  // namespace
 
 void GroupNode::build_specs() {
+  const StackShape& shape = shape_for(opts_.detector_impl, *stack_, events_);
+  const auto& mps = stack_->microprotocols();
+  const auto handler_at = [&mps](HandlerPos p) -> const Handler& {
+    return *mps[p.mp]->handlers()[p.handler];
+  };
   specs_.clear();
-  if (opts_.policy == CCPolicy::kVCARoute) return;
   specs_.reserve(kEventClasses);
-  for (std::size_t i = 0; i < kEventClasses; ++i) {
-    specs_.push_back(make_spec(static_cast<EventClass>(i)));
+  for (const InferredDecl& decl : shape) {
+    if (opts_.policy == CCPolicy::kVCARoute) {
+      RouteSpec route;
+      for (HandlerPos p : decl.entries) route.entry(handler_at(p));
+      for (const auto& [from, to] : decl.edges) route.edge(handler_at(from), handler_at(to));
+      specs_.push_back(Isolation::route(std::move(route)));
+    } else if (opts_.policy == CCPolicy::kVCABound) {
+      // Generous over-declaration is legal under VCAbound; too small throws.
+      constexpr std::uint32_t kBound = 256;
+      std::vector<std::pair<const Microprotocol*, std::uint32_t>> bounds;
+      bounds.reserve(decl.members.size());
+      for (std::uint32_t i : decl.members) bounds.emplace_back(mps[i].get(), kBound);
+      specs_.push_back(Isolation::bound(std::move(bounds)));
+    } else {
+      std::vector<const Microprotocol*> members;
+      members.reserve(decl.members.size());
+      for (std::uint32_t i : decl.members) members.push_back(mps[i].get());
+      specs_.push_back(Isolation::basic(std::move(members)));
+    }
   }
 }
 
-ComputationHandle GroupNode::spawn(EventClass klass, const EventType& ev, Message msg) {
-  if (specs_.empty()) {
-    throw ConfigError(
-        "GroupNode does not support VCAroute: the stack's call patterns are "
-        "data-dependent (the paper notes the variants' use is limited when "
-        "routing cannot be declared statically)");
-  }
-  // `ev` is one of events_, which outlives the runtime and so every
-  // computation it runs.
-  return runtime_->spawn_isolated(specs_[static_cast<std::size_t>(klass)],
-                                  [ev = &ev, msg = std::move(msg)](Context& ctx) {
-                                    ctx.trigger(*ev, msg);
-                                  });
+ComputationHandle GroupNode::spawn(EventClass klass, Message msg) {
+  const auto i = static_cast<std::size_t>(klass);
+  // The root event is a member of events_, which outlives the runtime and
+  // so every computation it runs.
+  return runtime_->spawn_isolated(specs_[i], [ev = &(events_.*kRootEvents[i]),
+                                              msg = std::move(msg)](Context& ctx) {
+    ctx.trigger(*ev, msg);
+  });
 }
 
 void GroupNode::on_packet(const net::Packet& packet) {
@@ -282,19 +305,19 @@ void GroupNode::on_packet(const net::Packet& packet) {
       [&](const auto& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, RcData>) {
-          spawn(EventClass::kRcData, events_.rc_data, msg);
+          spawn(EventClass::kRcData, msg);
         } else if constexpr (std::is_same_v<T, RcAck>) {
-          spawn(EventClass::kRcAck, events_.rc_ack, msg);
+          spawn(EventClass::kRcAck, msg);
         } else if constexpr (std::is_same_v<T, FdHeartbeat>) {
           // A detector this node did not build has no handler: drop.
-          if (fd_ != nullptr) spawn(EventClass::kFdHeartbeat, events_.fd_heartbeat, msg);
+          if (fd_ != nullptr) spawn(EventClass::kFdHeartbeat, msg);
         } else if constexpr (std::is_same_v<T, SwimPing> || std::is_same_v<T, SwimAck> ||
                              std::is_same_v<T, SwimPingReq>) {
-          if (swim_ != nullptr) spawn(EventClass::kSwimWire, events_.swim_wire, msg);
+          if (swim_ != nullptr) spawn(EventClass::kSwimWire, msg);
         } else if constexpr (std::is_same_v<T, ViewInstall>) {
-          spawn(EventClass::kViewInstall, events_.view_install, msg);
+          spawn(EventClass::kViewInstall, msg);
         } else {
-          spawn(EventClass::kCsWire, events_.cs_wire, msg);
+          spawn(EventClass::kCsWire, msg);
         }
       },
       msg.as<FromWire>().wire);
@@ -307,14 +330,14 @@ void GroupNode::start(View initial_view) {
   }
   // Install the initial view through the regular ViewInstall path so every
   // microprotocol learns it inside one isolated computation.
-  spawn(EventClass::kViewInstall, events_.view_install,
+  spawn(EventClass::kViewInstall,
         Message::of(FromWire{self_, Wire{ViewInstall{initial_view.id(), initial_view.members()}}}))
       .wait();
 
   arm_timers();
 }
 
-void GroupNode::spawn_tick(std::size_t slot, EventClass klass, const EventType& ev) {
+void GroupNode::spawn_tick(std::size_t slot, EventClass klass) {
   if (crashed_.load(std::memory_order_acquire)) return;
   std::unique_lock lock(tick_mu_);
   ComputationHandle& prev = last_tick_[slot];
@@ -322,31 +345,31 @@ void GroupNode::spawn_tick(std::size_t slot, EventClass klass, const EventType& 
     ticks_coalesced_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  prev = spawn(klass, ev, Message{});
+  prev = spawn(klass, Message{});
 }
 
 void GroupNode::arm_timers() {
   timers_.schedule_periodic(opts_.retransmit_interval, [this] {
-    spawn_tick(0, EventClass::kRetransmitTick, events_.retransmit_tick);
+    spawn_tick(0, EventClass::kRetransmitTick);
   });
   // Only the selected failure detector is built, so only its ticks run.
   if (fd_ != nullptr) {
     timers_.schedule_periodic(opts_.heartbeat_interval, [this] {
-      spawn_tick(1, EventClass::kHeartbeatTick, events_.heartbeat_tick);
+      spawn_tick(1, EventClass::kHeartbeatTick);
     });
     timers_.schedule_periodic(opts_.fd_timeout, [this] {
-      spawn_tick(2, EventClass::kFdCheckTick, events_.fd_check_tick);
+      spawn_tick(2, EventClass::kFdCheckTick);
     });
   } else {
     // The SWIM tick runs at the ack-timeout resolution: the state machine
     // (direct deadline, period deadline, suspicion expiry) is time-
     // compared inside the handler, so one fast tick drives all of it.
     timers_.schedule_periodic(opts_.swim_ack_timeout, [this] {
-      spawn_tick(4, EventClass::kSwimTick, events_.swim_tick);
+      spawn_tick(4, EventClass::kSwimTick);
     });
   }
   timers_.schedule_periodic(opts_.cs_retry_interval, [this] {
-    spawn_tick(3, EventClass::kCsRetryTick, events_.cs_retry_tick);
+    spawn_tick(3, EventClass::kCsRetryTick);
   });
 }
 
@@ -364,6 +387,7 @@ void GroupNode::archive_incarnation() {
   arc.retransmissions = relcomm_->retransmissions();
   arc.view_change_drops = relcomm_->view_change_drops();
   arc.joins_completed = membership_->joins_completed();
+  arc.failed_computations = runtime_->stats().failed.value();
   std::unique_lock lock(archive_mu_);
   archives_.push_back(std::move(arc));
 }
@@ -410,6 +434,13 @@ std::uint64_t GroupNode::total_retransmissions() const {
   return total;
 }
 
+std::uint64_t GroupNode::failed_computations() const {
+  std::uint64_t total = runtime_->stats().failed.value();
+  std::unique_lock lock(archive_mu_);
+  for (const auto& arc : archives_) total += arc.failed_computations;
+  return total;
+}
+
 std::vector<verify::IncarnationTrace> GroupNode::vs_traces() const {
   std::vector<verify::IncarnationTrace> traces;
   {
@@ -439,25 +470,23 @@ ComputationHandle GroupNode::rbcast(std::string data) {
   // of the per-origin sequence) so they never collide with ABcast ids.
   const std::uint64_t seq = kPlainChannelBit | epoch_bits(opts_.id_epoch) | ++rb_seq_;
   AppMessage msg{make_msg_id(self_, seq), std::move(data), /*atomic=*/false};
-  return spawn(EventClass::kApiRbcast, events_.api_rbcast, Message::of(msg));
+  return spawn(EventClass::kApiRbcast, Message::of(msg));
 }
 
 ComputationHandle GroupNode::abcast(std::string data) {
-  return spawn(EventClass::kApiAbcast, events_.api_abcast, Message::of(std::move(data)));
+  return spawn(EventClass::kApiAbcast, Message::of(std::move(data)));
 }
 
 ComputationHandle GroupNode::ccast(std::string data) {
-  return spawn(EventClass::kApiCcast, events_.api_ccast, Message::of(std::move(data)));
+  return spawn(EventClass::kApiCcast, Message::of(std::move(data)));
 }
 
 ComputationHandle GroupNode::request_join(SiteId newcomer) {
-  return spawn(EventClass::kApiJoinLeave, events_.api_joinleave,
-               Message::of(JoinLeave{'+', newcomer}));
+  return spawn(EventClass::kApiJoinLeave, Message::of(JoinLeave{'+', newcomer}));
 }
 
 ComputationHandle GroupNode::request_leave(SiteId member) {
-  return spawn(EventClass::kApiJoinLeave, events_.api_joinleave,
-               Message::of(JoinLeave{'-', member}));
+  return spawn(EventClass::kApiJoinLeave, Message::of(JoinLeave{'-', member}));
 }
 
 }  // namespace samoa::gc

@@ -5,7 +5,9 @@
 // Membership, a delivery sink), its Runtime with the chosen
 // concurrency-control policy, and a TimerService; registers with the
 // SimNetwork and turns every network packet and timer tick into an
-// `isolated` computation with the appropriate declaration.
+// `isolated` computation. Each root event's declaration is inferred from
+// the triggers the microprotocols declare (core/infer), under whichever
+// VCA policy the options select.
 //
 // Design note: computations never block on remote events — all sends are
 // fire-and-forget and every response arrives as a *new* external event, so
@@ -111,6 +113,7 @@ class GroupNode {
     std::uint64_t retransmissions = 0;
     std::uint64_t view_change_drops = 0;
     std::uint64_t joins_completed = 0;
+    std::uint64_t failed_computations = 0;
   };
   std::vector<IncarnationArchive> archives() const;
 
@@ -124,6 +127,10 @@ class GroupNode {
 
   /// Retransmissions summed over all incarnations.
   std::uint64_t total_retransmissions() const;
+
+  /// Computations that recorded an error (Runtime::Stats::failed), summed
+  /// over all incarnations. A working stack keeps this at 0.
+  std::uint64_t failed_computations() const;
 
   /// Every lifetime of this node as checker input: all archived
   /// incarnations (ended by a crash) plus the current one.
@@ -172,6 +179,8 @@ class GroupNode {
   }
 
  private:
+  /// The root event types GroupNode spawns computations for; the index
+  /// into specs_.
   enum class EventClass {
     kRcData,
     kRcAck,
@@ -189,22 +198,19 @@ class GroupNode {
     kApiCcast,
     kApiJoinLeave,
   };
-  static constexpr std::size_t kEventClasses =
-      static_cast<std::size_t>(EventClass::kApiJoinLeave) + 1;
 
-  /// The declaration of one event class over the current stack.
-  Isolation make_spec(EventClass klass) const;
-  /// Fill specs_ for the current stack (its microprotocol ids are new
-  /// after every restart). Left empty under VCAroute, which spawn rejects.
+  /// Derive one declaration per EventClass from the stack's declared
+  /// triggers (core/infer): the members reached for VCAbasic, the same
+  /// members bounded for VCAbound, the reached call graph for VCAroute.
   void build_specs();
-  ComputationHandle spawn(EventClass klass, const EventType& ev, Message msg);
+  ComputationHandle spawn(EventClass klass, Message msg);
   /// Spawn a periodic tick computation unless the previous tick of the
   /// same class is still in flight (tick coalescing). A stalled stack —
   /// e.g. a view change blocking head-of-line — would otherwise accumulate
   /// one blocked computation per interval, unboundedly growing the thread
   /// pool; a tick re-run on the next interval observes the same state, so
   /// skipping loses nothing.
-  void spawn_tick(std::size_t slot, EventClass klass, const EventType& ev);
+  void spawn_tick(std::size_t slot, EventClass klass);
   void on_packet(const net::Packet& packet);
   void build_stack();
   void bind_all();
@@ -230,7 +236,8 @@ class GroupNode {
   Membership* membership_ = nullptr;
   DeliverSink* sink_ = nullptr;
   /// One declaration per EventClass, built once per stack; every spawn
-  /// admits from these without copying them.
+  /// admits from these without copying them. A class whose root event
+  /// has no bound handler (the unselected detector's) is never spawned.
   std::vector<Isolation> specs_;
 
   std::unique_ptr<Runtime> runtime_;

@@ -34,7 +34,8 @@ Membership::Membership(const GcOptions& opts, const GcEvents& events, SiteId sel
       view_(std::move(initial_view)) {
   history_.push_back(view_);
 
-  joinleave_ = &register_handler("joinleave", [this](Context& ctx, const Message& m) {
+  joinleave_ = &register_handler("joinleave", {&events.api_abcast},
+                                 [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -44,7 +45,8 @@ Membership::Membership(const GcOptions& opts, const GcEvents& events, SiteId sel
     out.flush(ctx);
   });
 
-  on_adeliver_ = &register_handler("deliverView", [this](Context& ctx, const Message& m) {
+  on_adeliver_ = &register_handler("deliverView", {&events.view_change, &events.transport_send},
+                                   [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -71,7 +73,8 @@ Membership::Membership(const GcOptions& opts, const GcEvents& events, SiteId sel
     out.flush(ctx);
   });
 
-  on_install_ = &register_handler("on_install", [this](Context& ctx, const Message& m) {
+  on_install_ = &register_handler("on_install", {&events.view_change, &events.abcast_catchup},
+                                  [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();

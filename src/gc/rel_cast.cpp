@@ -4,7 +4,8 @@ namespace samoa::gc {
 
 RelCast::RelCast(const GcOptions& opts, const GcEvents& events, SiteId self, View initial_view)
     : GcMicroprotocol("relcast", opts), self_(self), view_(std::move(initial_view)) {
-  bcast_ = &register_handler("bcast", [this, &events](Context& ctx, const Message& m) {
+  bcast_ = &register_handler("bcast", {&events.send_out},
+                             [this, &events](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -22,7 +23,8 @@ RelCast::RelCast(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
     out.flush(ctx);
   });
 
-  recv_ = &register_handler("recv", [this, &events](Context& ctx, const Message& m) {
+  recv_ = &register_handler("recv", {&events.send_out, &events.deliver_out},
+                            [this, &events](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();

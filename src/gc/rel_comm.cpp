@@ -10,7 +10,8 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
       self_(self),
       view_(std::move(initial_view)),
       rng_(opts.rng_seed ^ (0x9e3779b97f4a7c15ull * (self.value() + 1))) {
-  send_ = &register_handler("send", [this](Context& ctx, const Message& m) {
+  send_ = &register_handler("send", {&events.transport_send},
+                            [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -34,7 +35,8 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
     out.flush(ctx);
   });
 
-  recv_data_ = &register_handler("recv_data", [this](Context& ctx, const Message& m) {
+  recv_data_ = &register_handler("recv_data", {&events.transport_send, &events.from_rcomm},
+                                 [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -53,7 +55,8 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
     out.flush(ctx);
   });
 
-  recv_ack_ = &register_handler("recv_ack", [this](Context& ctx, const Message& m) {
+  recv_ack_ = &register_handler("recv_ack", {&events.transport_send},
+                                [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -75,7 +78,8 @@ RelComm::RelComm(const GcOptions& opts, const GcEvents& events, SiteId self, Vie
     out.flush(ctx);
   });
 
-  retransmit_ = &register_handler("retransmit", [this](Context& ctx, const Message&) {
+  retransmit_ = &register_handler("retransmit", {&events.transport_send},
+                                  [this](Context& ctx, const Message&) {
     Outbox out;
     {
       auto lock = guard();

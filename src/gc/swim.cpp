@@ -41,7 +41,8 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
   }
   probe_index_ = probe_order_.size();  // force a shuffle before the first probe
 
-  on_wire_ = &register_handler("on_wire", [this](Context& ctx, const Message& m) {
+  on_wire_ = &register_handler("on_wire", {&events.transport_send, &events.suspect},
+                               [this](Context& ctx, const Message& m) {
     Outbox out;
     {
       auto lock = guard();
@@ -92,7 +93,8 @@ SwimDetector::SwimDetector(const GcOptions& opts, const GcEvents& events, SiteId
     out.flush(ctx);
   });
 
-  tick_ = &register_handler("probe_tick", [this](Context& ctx, const Message&) {
+  tick_ = &register_handler("probe_tick", {&events.transport_send, &events.suspect},
+                            [this](Context& ctx, const Message&) {
     Outbox out;
     {
       auto lock = guard();

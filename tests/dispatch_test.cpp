@@ -182,14 +182,6 @@ TEST(InlineDispatch, VirtualClockRunsSpawnsToCompletion) {
   // The computation, async task included, completed inside the spawn.
   EXPECT_TRUE(h.done());
   EXPECT_EQ(probe.calls.load(), 2);
-  std::vector<Runtime::SpawnRequest> burst;
-  for (int i = 0; i < 4; ++i) {
-    burst.push_back({Isolation::basic({&probe}), [&](Context& ctx) { ctx.async_trigger(ev); }});
-  }
-  for (const ComputationHandle& b : rt.spawn_isolated_batch(std::move(burst))) {
-    EXPECT_TRUE(b.done());
-  }
-  EXPECT_EQ(probe.calls.load(), 6);
   EXPECT_EQ(rt.pool().peak_thread_count(), 0u);
   EXPECT_EQ(rt.controller().stats().gate_waits.value(), 0u);
 }

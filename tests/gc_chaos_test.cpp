@@ -6,10 +6,14 @@
 // The scenario runs under a time::VirtualClock (see virtual_fleet.hpp):
 // every fault and every message is scheduled at a fixed virtual time, so
 // the sweep is reproducible per seed and spends no real time sleeping.
+// Both sweeps run under each VCA policy whose declarations GroupNode
+// infers from the declared triggers: a trigger missing from them would
+// fail a computation (IsolationError), and no site may record one.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <tuple>
 
 #include "virtual_fleet.hpp"
 
@@ -21,13 +25,25 @@ using testing::kFleetCcasts;
 using testing::kFleetSites;
 using testing::run_chaos_fleet;
 
-class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
+using PolicySeed = std::tuple<CCPolicy, std::uint64_t>;
+
+const auto kPolicies = ::testing::Values(CCPolicy::kVCABasic, CCPolicy::kVCABound,
+                                         CCPolicy::kVCARoute);
+
+std::string policy_seed_name(const ::testing::TestParamInfo<PolicySeed>& info) {
+  return std::string(to_string(std::get<0>(info.param))) + "_seed" +
+         std::to_string(std::get<1>(info.param));
+}
+
+class ChaosSweep : public ::testing::TestWithParam<PolicySeed> {};
 
 TEST_P(ChaosSweep, FleetConvergesUnderFaults) {
-  const std::uint64_t seed = GetParam();
-  const auto out = run_chaos_fleet(seed);
+  const auto [policy, seed] = GetParam();
+  const auto out = run_chaos_fleet(seed, policy);
   ASSERT_TRUE(out.converged) << "seed " << seed << ": fleet did not converge under chaos "
                              << "within the virtual horizon";
+  EXPECT_EQ(out.failed, std::vector<std::uint64_t>(kFleetSites, 0u))
+      << "seed " << seed << ": failed computations per site";
 
   // Every surviving site converged on the abcast history...
   const auto& ref = out.adelivered[0];
@@ -52,10 +68,9 @@ TEST_P(ChaosSweep, FleetConvergesUnderFaults) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep, ::testing::Values(1u, 17u, 4242u),
-                         [](const ::testing::TestParamInfo<std::uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(Sweep, ChaosSweep,
+                         ::testing::Combine(kPolicies, ::testing::Values(1u, 17u, 4242u)),
+                         policy_seed_name);
 
 // --- Crash/recovery chaos -------------------------------------------------
 //
@@ -64,17 +79,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep, ::testing::Values(1u, 17u, 4242u),
 // on the chaos engine. Every incarnation's delivery trace must satisfy
 // the virtual-synchrony checker, and retransmissions towards an evicted
 // peer must stop growing after the view change.
-class RecoverySweep : public ::testing::TestWithParam<std::uint64_t> {};
+class RecoverySweep : public ::testing::TestWithParam<PolicySeed> {};
 
 TEST_P(RecoverySweep, RejoinedFleetStaysVirtuallySynchronous) {
-  const std::uint64_t seed = GetParam();
-  const auto out = testing::run_recovery_fleet(seed);
+  const auto [policy, seed] = GetParam();
+  const auto out = testing::run_recovery_fleet(seed, policy);
   if (!out.converged) {
     for (const auto& line : out.trace_lines) std::printf("%s\n", line.c_str());
     for (const auto& line : out.view_lines) std::printf("%s\n", line.c_str());
   }
   ASSERT_TRUE(out.converged) << "seed " << seed
                              << ": recovery fleet did not converge within the virtual horizon";
+  EXPECT_EQ(out.failed, std::vector<std::uint64_t>(testing::kRecoverySites, 0u))
+      << "seed " << seed << ": failed computations per site";
 
   const auto report = verify::check_virtual_synchrony(out.traces);
   EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.describe();
@@ -107,10 +124,9 @@ TEST_P(RecoverySweep, RejoinedFleetStaysVirtuallySynchronous) {
   for (const auto& line : out.chaos_log) std::printf("  %s\n", line.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RecoverySweep, ::testing::Values(1u, 4u, 17u, 4242u),
-                         [](const ::testing::TestParamInfo<std::uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(Sweep, RecoverySweep,
+                         ::testing::Combine(kPolicies, ::testing::Values(1u, 4u, 17u, 4242u)),
+                         policy_seed_name);
 
 // --- Fault-plan primitives (flap, one-way partitions) --------------------
 

@@ -485,6 +485,8 @@ TEST_P(OneDetectorStack, FleetConvergesWithCleanVsChecker) {
   const auto out = testing::run_churn_fleet(cfg);
   ASSERT_TRUE(out.converged);
   EXPECT_TRUE(out.vs.ok()) << out.vs.describe();
+  EXPECT_EQ(out.failed, std::vector<std::uint64_t>(cfg.sites, 0u))
+      << "failed computations per site";
   EXPECT_GT(out.suspicions, 0u);
 }
 

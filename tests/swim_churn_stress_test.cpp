@@ -123,6 +123,8 @@ class SwimChurnStress : public ::testing::Test {
 
     ASSERT_TRUE(out.converged) << "churn fleet never converged (sites=" << cfg.sites << ")";
     ASSERT_TRUE(out.vs.ok()) << out.vs.describe();
+    EXPECT_EQ(out.failed, std::vector<std::uint64_t>(cfg.sites, 0u))
+        << "failed computations per site";
     dog_->kick();
 
     // The detector earned its keep: the mass crash was noticed quickly and

@@ -31,6 +31,8 @@ TEST(SwimFleet, FiftySiteChurnConvergesWithZeroVsViolations) {
   ASSERT_TRUE(out.converged) << "fleet never converged; chaos log tail:\n"
                              << (out.chaos_log.empty() ? "" : out.chaos_log.back());
   EXPECT_TRUE(out.vs.ok()) << out.vs.describe();
+  EXPECT_EQ(out.failed, std::vector<std::uint64_t>(cfg.sites, 0u))
+      << "failed computations per site";
   EXPECT_GT(out.traces.size(), 0u);
 
   // The crash was detected: a first suspicion inside the detect window,
@@ -67,6 +69,8 @@ TEST(SwimFleet, HeartbeatDetectorRunsSameScenarioThroughSeam) {
 
   ASSERT_TRUE(out.converged);
   EXPECT_TRUE(out.vs.ok()) << out.vs.describe();
+  EXPECT_EQ(out.failed, std::vector<std::uint64_t>(cfg.sites, 0u))
+      << "failed computations per site";
   EXPECT_GT(out.suspicions, 0u);
   // SWIM counters must stay untouched behind the heartbeat seam.
   EXPECT_EQ(out.probes_sent, 0u);

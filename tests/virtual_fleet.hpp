@@ -42,19 +42,32 @@ struct FleetOutcome {
   std::uint64_t net_sent = 0;
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
+  // Computations that recorded an error, per site (all incarnations).
+  std::vector<std::uint64_t> failed;
 };
+
+/// Failed computations per site, over every incarnation: a working stack
+/// reads 0 at every site, so an error in a packet- or tick-spawned
+/// computation (whose handle nobody waits on) still fails the run.
+inline std::vector<std::uint64_t> failed_per_site(
+    const std::vector<std::unique_ptr<GroupNode>>& nodes) {
+  std::vector<std::uint64_t> failed;
+  for (const auto& n : nodes) failed.push_back(n->failed_computations());
+  return failed;
+}
 
 constexpr int kFleetSites = 5;
 constexpr int kFleetAbcasts = 10;
 constexpr int kFleetCcasts = 6;
 
-inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
+inline FleetOutcome run_chaos_fleet(std::uint64_t seed, CCPolicy policy = CCPolicy::kVCABasic) {
   using namespace std::chrono;
 
   time::VirtualClock clock;
 
   GcOptions opts;
   opts.clock = &clock;
+  opts.policy = policy;
   opts.retransmit_interval = microseconds(2000);
   opts.retransmit_timeout = microseconds(3000);
   opts.heartbeat_interval = microseconds(2000);
@@ -168,6 +181,7 @@ inline FleetOutcome run_chaos_fleet(std::uint64_t seed) {
   out.net_sent = net.stats().sent.value();
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
+  out.failed = failed_per_site(nodes);
   return out;
 }
 
@@ -207,18 +221,21 @@ struct RecoveryOutcome {
   std::uint64_t net_sent = 0;
   std::uint64_t net_delivered = 0;
   std::uint64_t net_dropped = 0;
+  std::vector<std::uint64_t> failed;  // per site, all incarnations
 };
 
 constexpr int kRecoverySites = 5;
 constexpr int kRecoveryMessages = 20;  // burst A (8) + burst B (6) + burst C (6)
 
-inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
+inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed,
+                                          CCPolicy policy = CCPolicy::kVCABasic) {
   using namespace std::chrono;
 
   time::VirtualClock clock;
 
   GcOptions opts;
   opts.clock = &clock;
+  opts.policy = policy;
   opts.rng_seed = seed;
   opts.retransmit_interval = microseconds(2000);
   opts.retransmit_timeout = microseconds(3000);
@@ -419,6 +436,7 @@ inline RecoveryOutcome run_recovery_fleet(std::uint64_t seed) {
   out.net_sent = net.stats().sent.value();
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
+  out.failed = failed_per_site(nodes);
   return out;
 }
 
@@ -497,6 +515,7 @@ struct ChurnOutcome {
   // drops, control firings, in execution order): the delivery-order
   // fingerprint of the whole run, independent of protocol-level state.
   std::uint64_t event_hash = 0;
+  std::vector<std::uint64_t> failed;  // per site, all incarnations
 };
 
 inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
@@ -758,6 +777,7 @@ inline ChurnOutcome run_churn_fleet(const ChurnConfig& cfg) {
   out.net_delivered = net.stats().delivered.value();
   out.net_dropped = net.stats().dropped.value();
   out.event_hash = net.event_hash();
+  out.failed = failed_per_site(nodes);
   return out;
 }
 
